@@ -3,9 +3,10 @@ filter banks, their lifting factorizations, and the group structure of
 the factorization universe."""
 
 from .errors import (BaseNotIdentity, DCZero, DuplicateTap, EmptySupport,
-                     FactorizationStuck, LiftbankError, NonIntegerInput,
-                     NotAdmissible, NotDyadic, NotHSConcentric, NotIrreducible,
-                     NotUnimodular, NotWSDelayMinimized, ParseError, ZeroTap)
+                     FactorizationStuck, InvalidArgument, LiftbankError,
+                     NonIntegerInput, NotAdmissible, NotDyadic, NotHSConcentric,
+                     NotIrreducible, NotUnimodular, NotWSDelayMinimized,
+                     ParseError, ZeroTap)
 from .laurent import LaurentPoly, SymmetryTag, is_dyadic
 from .polyphase import (DetInfo, BankClass, PolyphaseMatrix, PolyphaseVector,
                         analyze_filter, synthesize_filter, split_signal,

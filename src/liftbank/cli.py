@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 failed verification, 2 parse error,
-3 precondition violation.  Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 failed verification, 2 parse error (of a bank
+or cascade file, or of the command line), 3 precondition violation.
+Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_bank(path: str):
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order-increasing", action="store_true")
     q.add_argument("--structure", choices=["ws", "hs"])
     q.add_argument("--pr", action="store_true")
-    q.add_argument("--trials", type=int, default=32)
+    q.add_argument("--trials", type=positive_int, default=32)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_verify)
 
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("roundtrip", help="analysis/synthesis round trip")
     q.add_argument("cascade")
-    q.add_argument("--length", type=int, default=64)
+    q.add_argument("--length", type=positive_int, default=64)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--reversible", action="store_true")
     q.set_defaults(func=cmd_roundtrip)

@@ -50,6 +50,10 @@ class BaseNotIdentity(LiftbankError):
     """Operation requires a fully factored cascade (base = I)."""
 
 
+class InvalidArgument(LiftbankError):
+    """A count or size argument is out of range, e.g. zero trials."""
+
+
 class ParseError(LiftbankError):
     """Malformed bank or cascade file."""
 

@@ -10,6 +10,7 @@ identity on canonical files.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -19,13 +20,49 @@ from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 
+# CPython refuses int <-> decimal str conversions past a process-wide digit
+# limit (4300 by default, never below 640); factorization coefficients can
+# be longer.  Numbers are converted in pieces of at most _CHUNK_DIGITS
+# digits, which every allowed limit admits, without touching the limit.
+_CHUNK_DIGITS = 512
+_CHUNK_BITS = 1700      # 2**1700 < 10**512
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any length."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    low = int(n.bit_length() * 0.30103) // 2   # about half the digits
+    high, rest = divmod(n, 10 ** low)
+    return _int_str(high) + _int_str(rest).zfill(low)
+
+
+def _str_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _str_int(digits[:-low]) * 10 ** low + _str_int(digits[-low:])
+
+
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
 def _fmt_fraction(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    num = _int_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
 
 
 def _parse_fraction(tok: str, line_no: int) -> Fraction:
+    m = _RATIONAL.fullmatch(tok)
     try:
-        return Fraction(tok)
+        if m is None:
+            return Fraction(tok)
+        sign, num, den = m.groups()
+        v = Fraction(_str_int(num), _str_int(den) if den else 1)
+        return -v if sign == "-" else v
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {tok!r}", line=line_no) from None
 
@@ -61,14 +98,15 @@ def parse_bank(text: str) -> PolyphaseMatrix:
     filters: dict = {}
     current: Optional[dict] = None
     for line_no, line in _lines(text):
-        if line.startswith("bank"):
+        keyword = line.split()[0]
+        if keyword == "bank":
             continue
         if line in ("h0:", "h1:"):
             key = line[:2]
             if key in filters:
                 raise ParseError(f"section {line!r} repeated", line=line_no)
             current = filters[key] = {}
-        elif line.startswith("tap"):
+        elif keyword == "tap":
             if current is None:
                 raise ParseError("tap before any h0:/h1: section", line=line_no)
             _parse_tap(line, line_no, current)
@@ -104,7 +142,8 @@ def parse_cascade(text: str) -> LiftingCascade:
         if mode == "base":
             bank_lines.append((line_no, line))
             continue
-        if line.startswith("scale"):
+        keyword = line.split()[0]
+        if keyword == "scale":
             if mode != "head" or steps:
                 raise ParseError("scale must come before the steps", line=line_no)
             parts = line.split()
@@ -113,13 +152,13 @@ def parse_cascade(text: str) -> LiftingCascade:
             scale = _parse_fraction(parts[1], line_no)
             if scale == 0:
                 raise ParseError("scale must be nonzero", line=line_no)
-        elif line.startswith("step"):
+        elif keyword == "step":
             parts = line.split()
             if len(parts) != 2 or parts[1] not in ("U", "L"):
                 raise ParseError("step line must be `step U` or `step L`", line=line_no)
             steps.append((0 if parts[1] == "U" else 1, {}))
             mode = "steps"
-        elif line.startswith("tap"):
+        elif keyword == "tap":
             if not steps:
                 raise ParseError("tap before any step block", line=line_no)
             _parse_tap(line, line_no, steps[-1][1])
@@ -130,7 +169,11 @@ def parse_cascade(text: str) -> LiftingCascade:
 
     base = IDENTITY
     if bank_lines:
-        base = parse_bank("\n".join(line for _, line in bank_lines))
+        # Keep each base line at its own line number for parse_bank's errors.
+        numbered = [""] * bank_lines[-1][0]
+        for line_no, line in bank_lines:
+            numbered[line_no - 1] = line
+        base = parse_bank("\n".join(numbered))
     lifting_steps = []
     for i, (m, taps) in enumerate(steps):
         if not taps:

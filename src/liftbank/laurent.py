@@ -1,7 +1,8 @@
 """Exact Laurent polynomial arithmetic over the rationals.
 
 A filter F(z) = sum_n f(n) z^(-n) is stored as a finite map from the
-impulse-response index n to a nonzero Fraction.  Note the sign convention:
+impulse-response index n to a nonzero integer numerator, over one shared
+positive denominator: f(n) = num[n] / den.  Note the sign convention:
 the stored index n is the exponent of z^(-n), so multiplying by z^(-1)
 *increases* indices by one.
 """
@@ -10,11 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import EmptySupport
 
 Rational = Union[int, Fraction]
+
+_set = object.__setattr__
+
+
+def _canonical(num: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
+    """num / den with the zero numerators dropped and gcd(den, *num) divided out."""
+    if 0 in num.values():
+        num = {n: v for n, v in num.items() if v}
+    if not num:
+        return num, 1
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        num = {n: v // g for n, v in num.items()}
+        den //= g
+    return num, den
 
 
 def is_dyadic(q: Rational) -> bool:
@@ -36,18 +53,47 @@ class SymmetryTag:
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial with exact rational coefficients."""
+    """Immutable Laurent polynomial with exact rational coefficients.
 
-    __slots__ = ("_c",)
+    `_num` maps each index with a nonzero coefficient to that coefficient's
+    integer numerator over the shared denominator `_den` > 0, and
+    gcd(den, *numerators) == 1 (den == 1 for the zero polynomial).  The
+    form is canonical, so equal polynomials have equal `_num` and `_den`.
+    Storage grows with the number of nonzero taps, not with the index
+    span.  Arithmetic results are built by `_make` (already canonical) or
+    `_reduced` (integer numerators that may hold zeros or a common factor);
+    only the public constructor converts values through `Fraction`.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Union[Mapping[int, Rational], Iterable[Tuple[int, Rational]], None] = None):
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
-        c = {}
+        terms = []
         for n, v in items:
-            v = Fraction(v)
+            v = v if type(v) is int else Fraction(v)
             if v:
-                c[int(n)] = c.get(int(n), 0) + v
-        object.__setattr__(self, "_c", {n: v for n, v in c.items() if v})
+                terms.append((int(n), v))
+        den = lcm(*{v.denominator for _, v in terms})
+        num: Dict[int, int] = {}
+        for n, v in terms:
+            num[n] = num.get(n, 0) + v.numerator * (den // v.denominator)
+        num, den = _canonical(num, den)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+
+    @classmethod
+    def _make(cls, num: Dict[int, int], den: int) -> "LaurentPoly":
+        """Trusted constructor: num has no zeros and gcd(den, *num) == 1."""
+        p = object.__new__(cls)
+        _set(p, "_num", num)
+        _set(p, "_den", den)
+        return p
+
+    @classmethod
+    def _reduced(cls, num: Dict[int, int], den: int) -> "LaurentPoly":
+        """num / den for any integer numerators and den > 0."""
+        return cls._make(*_canonical(num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -68,35 +114,38 @@ class LaurentPoly:
     # -- mapping access ----------------------------------------------------
 
     def coeff(self, n: int) -> Fraction:
-        return self._c.get(n, Fraction(0))
+        v = self._num.get(n)
+        return Fraction(v, self._den) if v else Fraction(0)
 
     def items(self):
-        return self._c.items()
+        den = self._den
+        return {n: Fraction(v, den) for n, v in self._num.items()}.items()
 
     def indices(self):
-        return self._c.keys()
+        return self._num.keys()
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._num)
 
     @property
     def is_dyadic(self) -> bool:
-        return all(is_dyadic(v) for v in self._c.values())
+        # The shared denominator is the lcm of the coefficients' own.
+        return self._den & (self._den - 1) == 0
 
     @property
     def is_integer(self) -> bool:
-        return all(v.denominator == 1 for v in self._c.values())
+        return self._den == 1
 
     # -- measures ----------------------------------------------------------
 
     def support(self) -> Tuple[int, int]:
         """Support interval [a, b]; raises EmptySupport on the zero polynomial."""
-        if not self._c:
+        if not self._num:
             raise EmptySupport("zero polynomial has empty support")
-        return min(self._c), max(self._c)
+        return min(self._num), max(self._num)
 
     def order(self) -> int:
         a, b = self.support()
@@ -109,47 +158,84 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for n, v in other._c.items():
-            c[n] = c.get(n, 0) + v
-        return LaurentPoly(c)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        c = dict(self._num) if fa == 1 else {n: v * fa for n, v in self._num.items()}
+        get = c.get
+        for n, v in other._num.items():
+            c[n] = get(n, 0) + v * fb
+        return LaurentPoly._reduced(c, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({n: -v for n, v in self._c.items()})
+        return LaurentPoly._make({n: -v for n, v in self._num.items()}, self._den)
 
     def __mul__(self, other: Union["LaurentPoly", Rational]) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            c = {}
-            for n, v in self._c.items():
-                for m, w in other._c.items():
-                    c[n + m] = c.get(n + m, 0) + v * w
-            return LaurentPoly(c)
-        return self.scale(other)
+        if not isinstance(other, LaurentPoly):
+            return self.scale(other)
+        long, short = self._num, other._num
+        if len(long) < len(short):
+            long, short = short, long
+        c: Dict[int, int] = {}
+        get = c.get
+        for m, w in short.items():
+            for n, v in long.items():
+                k = n + m
+                c[k] = get(k, 0) + v * w
+        return LaurentPoly._reduced(c, self._den * other._den)
 
     def __rmul__(self, other: Rational) -> "LaurentPoly":
         return self.scale(other)
 
     def scale(self, k: Rational) -> "LaurentPoly":
         k = Fraction(k)
-        return LaurentPoly({n: k * v for n, v in self._c.items()})
+        p = k.numerator
+        return LaurentPoly._reduced({n: v * p for n, v in self._num.items()},
+                                    self._den * k.denominator)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^(-k), i.e. delay the impulse response by k."""
-        return LaurentPoly({n + k: v for n, v in self._c.items()})
+        return LaurentPoly._make({n + k: v for n, v in self._num.items()}, self._den)
 
     def reflect(self) -> "LaurentPoly":
         """F(z) -> F(z^(-1)), i.e. f(n) -> f(-n).  An involution."""
-        return LaurentPoly({-n: v for n, v in self._c.items()})
+        return LaurentPoly._make({-n: v for n, v in self._num.items()}, self._den)
+
+    def _phases(self) -> Tuple["LaurentPoly", "LaurentPoly"]:
+        """(E, O) with F(z) = E(z^2) + z^(-1) O(z^2): E(n) = f(2n) and
+        O(n) = f(2n + 1)."""
+        even: Dict[int, int] = {}
+        odd: Dict[int, int] = {}
+        for n, v in self._num.items():
+            (odd if n & 1 else even)[n >> 1] = v
+        return LaurentPoly._reduced(even, self._den), LaurentPoly._reduced(odd, self._den)
+
+    @staticmethod
+    def _interleave(even: "LaurentPoly", odd: "LaurentPoly") -> "LaurentPoly":
+        """Inverse of _phases: E(z^2) + z^(-1) O(z^2)."""
+        den = lcm(even._den, odd._den)
+        fe, fo = den // even._den, den // odd._den
+        c = {2 * n: v * fe for n, v in even._num.items()}
+        c.update({2 * n + 1: v * fo for n, v in odd._num.items()})
+        # Canonical already: the keys are disjoint, and a prime that divides
+        # den to its full power divides one input's den to that power, so
+        # some numerator of that input stays prime to it after scaling.
+        return LaurentPoly._make(c, den)
 
     def __call__(self, z0: Rational) -> Fraction:
         """Exact evaluation at a nonzero rational point."""
         z0 = Fraction(z0)
         if not z0:
             raise ZeroDivisionError("cannot evaluate at z = 0")
-        return sum((v * z0 ** (-n) for n, v in self._c.items()), Fraction(0))
+        total = sum((v * z0 ** (-n) for n, v in self._num.items()), Fraction(0))
+        return total / self._den
 
     # -- symmetry ----------------------------------------------------------
 
@@ -157,9 +243,10 @@ class LaurentPoly:
         """Classify WS/HS/WA/HA about the forced axis (a + b) / 2."""
         a, b = self.support()
         two_axis = a + b  # axis = (a + b)/2; reflected index is 2*axis - n
-        if all(self.coeff(two_axis - n) == v for n, v in self._c.items()):
+        num = self._num
+        if all(num.get(two_axis - n) == v for n, v in num.items()):
             kind = "WS" if two_axis % 2 == 0 else "HS"
-        elif all(self.coeff(two_axis - n) == -v for n, v in self._c.items()):
+        elif all(num.get(two_axis - n) == -v for n, v in num.items()):
             kind = "WA" if two_axis % 2 == 0 else "HA"
         else:
             return SymmetryTag("NONE")
@@ -170,20 +257,20 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._num:
             return "0"
         parts = []
-        for n in sorted(self._c):
-            v = self._c[n]
+        for n in sorted(self._num):
+            v = Fraction(self._num[n], self._den)
             if n == 0:
                 parts.append(str(v))
             else:

@@ -115,10 +115,6 @@ class LiftingCascade:
         return out
 
 
-def cascade_product(c: LiftingCascade) -> PolyphaseMatrix:
-    return c.product()
-
-
 def reduce_to_irreducible(c: LiftingCascade) -> LiftingCascade:
     """Merge same-characteristic neighbors and drop trivial steps; the
     matrix product is preserved exactly."""

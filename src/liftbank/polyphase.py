@@ -63,44 +63,23 @@ class PolyphaseVector:
 
 def analyze_filter(f: LaurentPoly) -> PolyphaseVector:
     """Scalar filter -> analysis polyphase vector, f_j(n) = f(2n - j)."""
-    c0, c1 = {}, {}
-    for n, v in f.items():
-        if n % 2 == 0:
-            c0[n // 2] = v
-        else:
-            c1[(n + 1) // 2] = v
-    return PolyphaseVector(LaurentPoly(c0), LaurentPoly(c1))
+    even, odd = f._phases()
+    return PolyphaseVector(even, odd.shift(1))
 
 
 def synthesize_filter(v: PolyphaseVector) -> LaurentPoly:
     """Inverse of analyze_filter: F(z) = F0(z^2) + z F1(z^2)."""
-    c = {}
-    for n, val in v.comp0.items():
-        c[2 * n] = val
-    for n, val in v.comp1.items():
-        c[2 * n - 1] = val
-    return LaurentPoly(c)
+    return LaurentPoly._interleave(v.comp0, v.comp1.shift(-1))
 
 
 def split_signal(x: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     """Even/odd split of a signal, x_i(n) = x(2n + i)."""
-    c0, c1 = {}, {}
-    for k, v in x.items():
-        if k % 2 == 0:
-            c0[k // 2] = v
-        else:
-            c1[(k - 1) // 2] = v
-    return LaurentPoly(c0), LaurentPoly(c1)
+    return x._phases()
 
 
 def merge_signal(x0: LaurentPoly, x1: LaurentPoly) -> LaurentPoly:
     """Interleave the two phases back into one signal."""
-    c = {}
-    for n, v in x0.items():
-        c[2 * n] = v
-    for n, v in x1.items():
-        c[2 * n + 1] = v
-    return LaurentPoly(c)
+    return LaurentPoly._interleave(x0, x1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Mapping, Tuple
 
-from .errors import NonIntegerInput, NotDyadic, NotUnimodular
+from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
 from .laurent import LaurentPoly
 from .lifting import LiftingCascade
-from .polyphase import IDENTITY, merge_signal, split_signal
+from .polyphase import IDENTITY, PolyphaseVector, merge_signal, split_signal
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 
@@ -24,10 +23,10 @@ SignalPair = Tuple[LaurentPoly, LaurentPoly]
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     """Polyphase split followed by base, steps, then gain scaling.
 
-    Exactly equal to multiplying the split signal by cascade_product(c).
+    Exactly equal to multiplying the split signal by c.product().
     """
     x0, x1 = split_signal(x)
-    v = c.base.apply(_vec(x0, x1))
+    v = c.base.apply(PolyphaseVector(x0, x1))
     y0, y1 = v.comp0, v.comp1
     for s in c.steps:
         if s.m == 0:
@@ -51,13 +50,8 @@ def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
             y0 = y0 - s.filter * y1
         else:
             y1 = y1 - s.filter * y0
-    v = c.base.inverse().apply(_vec(y0, y1))
+    v = c.base.inverse().apply(PolyphaseVector(y0, y1))
     return merge_signal(v.comp0, v.comp1)
-
-
-def _vec(x0: LaurentPoly, x1: LaurentPoly):
-    from .polyphase import PolyphaseVector
-    return PolyphaseVector(x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +87,8 @@ def _check_reversible(c: LiftingCascade):
 
 def _rounded_update(filt: LaurentPoly, src: IntSignal) -> IntSignal:
     """round(S * src) with round(v) = floor(v + 1/2), in integer arithmetic."""
-    den = lcm(*(v.denominator for _, v in filt.items())) if filt else 1
-    taps = [(n, int(v * den)) for n, v in filt.items()]
+    den = filt._den
+    taps = list(filt._num.items())
     acc: Dict[int, int] = {}
     for k, x in src.items():
         for n, tap in taps:
@@ -157,7 +151,11 @@ class PRReport:
 
 
 def verify_pr(c: LiftingCascade, trials: int = 32, seed: int = 0) -> PRReport:
-    """Sampled perfect-reconstruction check with the a = 1, d = 0 convention."""
+    """Sampled perfect-reconstruction check with the a = 1, d = 0 convention.
+
+    Raises InvalidArgument when trials < 1: no sample is no evidence."""
+    if trials < 1:
+        raise InvalidArgument(f"verify_pr needs at least one trial, got {trials}")
     rng = random.Random(seed)
     try:
         for _ in range(trials):

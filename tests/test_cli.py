@@ -5,7 +5,10 @@ import pytest
 
 from liftbank.cli import main
 from liftbank.errors import DuplicateTap, ParseError, ZeroTap
-from liftbank.formats import parse_bank, parse_cascade, print_bank, print_cascade
+from liftbank.formats import (_int_str, _str_int, parse_bank, parse_cascade,
+                              print_bank, print_cascade)
+from liftbank.laurent import LaurentPoly
+from liftbank.lifting import LiftingCascade, lower, upper
 from liftbank.polyphase import haar_bank
 from liftbank.randgen import rand_hs_cascade, rand_ws_cascade
 
@@ -80,6 +83,41 @@ class TestCascadeFormat:
             parse_cascade("step U\nstep L\ntap 0 1\n")
 
 
+# A keyword followed by more letters is not that keyword.
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_cascade, "scalez 2\nstep U\ntap 0 1\n", 1),
+    (parse_cascade, "step U\ntap 0 1\nstepper U\ntap 0 1\n", 3),
+    (parse_bank, "h0:\ntapioca 0 1\nh1:\ntap 0 1\n", 2),
+    (parse_bank, "bankrupt\nh0:\ntap 0 1\nh1:\ntap 0 1\n", 1),
+    (parse_cascade, "step U\ntapx 0 1\n", 2),
+    (parse_cascade, "step U\ntap 0 1\n# base\nbase:\nbankrupt\nh0:\ntap 0 1\n", 5),
+])
+def test_keywords_match_whole_token(parse, text, line):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.line == line
+
+
+class TestHugeRationals:
+    """Integers past CPython's default 4,300-digit int/str limit."""
+
+    def test_conversions_exact(self):
+        for n in (10 ** 5000, -(10 ** 5000) + 1, 7 ** 6000, 0, -12):
+            digits = _int_str(n)
+            assert _str_int(digits.lstrip("-")) * (-1 if n < 0 else 1) == n
+        assert _int_str(10 ** 5000) == "1" + "0" * 5000
+        assert _int_str(10 ** 5000 - 1) == "9" * 5000
+
+    def test_cascade_round_trip(self):
+        big = F(3 ** 10480 + 1, 2 ** 16610)   # 5,001 digits over 5,001 digits
+        c = LiftingCascade(big, (upper(LaurentPoly({0: big, 1: -1})),
+                                 lower(F(-1, 2))))
+        text = print_cascade(c)
+        assert len(text) > 10_000
+        assert parse_cascade(text) == c
+        assert print_cascade(parse_cascade(text)) == text
+
+
 class TestCommands:
     def write(self, tmp_path, name, text):
         p = tmp_path / name
@@ -129,6 +167,18 @@ class TestCommands:
         assert main(["verify", cpath, "--structure", "ws",
                      "--order-increasing"]) == 0
         assert main(["verify", cpath, "--structure", "hs"]) == 1
+
+    @pytest.mark.parametrize("args", [["verify", "--pr", "--trials", "0"],
+                                      ["verify", "--pr", "--trials", "-5"],
+                                      ["roundtrip", "--length", "-3"],
+                                      ["roundtrip", "--length", "0", "--reversible"]])
+    def test_nonpositive_counts_rejected(self, tmp_path, capsys, args):
+        cpath = self.write(tmp_path, "lazy.cas", "step U\ntap 0 1\n")
+        with pytest.raises(SystemExit) as e:
+            main([args[0], cpath, *args[1:]])
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be at least 1" in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, "bad.bank", "h0:\ntap 0 0\nh1:\ntap 0 1\n")

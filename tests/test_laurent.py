@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftbank.errors import EmptySupport
 from liftbank.laurent import LaurentPoly, is_dyadic
@@ -166,3 +169,156 @@ class TestDyadic:
         assert LaurentPoly({0: F(1, 4), 1: 2}).is_dyadic
         assert not LaurentPoly({0: F(1, 6)}).is_dyadic
         assert LaurentPoly({0: 3}).is_integer
+
+
+# ---------------------------------------------------------------------------
+# Reference model: a plain dict of nonzero Fractions, the storage the
+# integer-numerator core replaced.  Every operation is checked against it.
+
+
+def ref_clean(c):
+    return {n: v for n, v in c.items() if v}
+
+
+def ref_add(a, b, sign=1):
+    c = dict(a)
+    for n, v in b.items():
+        c[n] = c.get(n, 0) + sign * v
+    return ref_clean(c)
+
+
+def ref_mul(a, b):
+    c = {}
+    for n, v in a.items():
+        for m, w in b.items():
+            c[n + m] = c.get(n + m, 0) + v * w
+    return ref_clean(c)
+
+
+def ref_symmetry(c):
+    t = min(c) + max(c)
+    if all(c.get(t - n) == v for n, v in c.items()):
+        return ("WS" if t % 2 == 0 else "HS"), F(t, 2)
+    if all(c.get(t - n) == -v for n, v in c.items()):
+        return ("WA" if t % 2 == 0 else "HA"), F(t, 2)
+    return "NONE", None
+
+
+def ref_eval(c, z0):
+    return sum((v * z0 ** -n for n, v in c.items()), F(0))
+
+
+# Small numerators over mixed denominators; zeros are drawn too, and the
+# constructor must drop them.  Gaps between indices reach 10^12.
+coefficients = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]))
+gaps = st.sampled_from([1, 1, 2, 3, 5, 10 ** 6, 10 ** 12])
+
+
+@st.composite
+def ref_polys(draw, max_terms=6):
+    n = draw(st.integers(-3, 3)) * draw(st.sampled_from([1, 10 ** 12]))
+    c = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        c[n] = draw(coefficients)
+        n += draw(gaps)
+    return c
+
+
+@st.composite
+def ref_pairs(draw):
+    """(a, b) where b often cancels some or all of a, so sums hit zero."""
+    a = draw(ref_polys())
+    b = draw(ref_polys())
+    keep = draw(st.sampled_from(["independent", "negated", "partial"]))
+    if keep == "negated":
+        b = {n: -v for n, v in a.items()}
+    elif keep == "partial":
+        b.update({n: -v for n, v in a.items() if draw(st.booleans())})
+    return a, b
+
+
+def check_matches(p, c):
+    """p agrees with the reference dict c through the whole public API."""
+    c = ref_clean(c)
+    assert dict(p.items()) == c
+    assert all(type(v) is Fraction for _, v in p.items())
+    assert set(p.indices()) == set(c)
+    for n in list(c) + [0, 1, -1]:
+        got = p.coeff(n)
+        assert type(got) is Fraction and got == c.get(n, 0)
+    assert bool(p) == bool(c) and p.is_zero() == (not c)
+    assert p == LaurentPoly(c) and hash(p) == hash(LaurentPoly(c))
+    assert p == LaurentPoly(list(c.items()))
+    assert p.is_integer == all(v.denominator == 1 for v in c.values())
+    assert p.is_dyadic == all(is_dyadic(v) for v in c.values())
+    assert p(1) == ref_eval(c, F(1)) and p(-1) == ref_eval(c, F(-1))
+    if c:
+        assert p.support() == (min(c), max(c))
+        tag = p.symmetry()
+        assert (tag.kind, tag.axis) == ref_symmetry(c)
+        if max(map(abs, c)) < 100:
+            assert p(F(2, 3)) == ref_eval(c, F(2, 3))
+    else:
+        with pytest.raises(EmptySupport):
+            p.support()
+    assert str(p) == str(LaurentPoly(c))
+
+
+class TestAgainstReference:
+    @given(ref_polys())
+    def test_construct(self, a):
+        check_matches(LaurentPoly(a), a)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), coefficients), max_size=8))
+    def test_construct_sums_repeated_indices(self, pairs):
+        c = {}
+        for n, v in pairs:
+            c[n] = c.get(n, 0) + v
+        check_matches(LaurentPoly(pairs), c)
+
+    @given(ref_pairs())
+    def test_add_sub(self, ab):
+        a, b = ab
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        check_matches(p + q, ref_add(a, b))
+        check_matches(p - q, ref_add(a, b, -1))
+        check_matches(p - p, {})
+
+    @given(ref_pairs())
+    def test_mul(self, ab):
+        a, b = ab
+        check_matches(LaurentPoly(a) * LaurentPoly(b), ref_mul(a, b))
+
+    @given(ref_polys(), coefficients, st.integers(-10 ** 12, 10 ** 12))
+    def test_unary(self, a, k, shift):
+        p = LaurentPoly(a)
+        check_matches(-p, {n: -v for n, v in a.items()})
+        check_matches(p.scale(k), {n: k * v for n, v in a.items()})
+        check_matches(k * p, {n: k * v for n, v in a.items()})
+        check_matches(p * k, {n: k * v for n, v in a.items()})
+        check_matches(p.shift(shift), {n + shift: v for n, v in a.items()})
+        check_matches(p.reflect(), {-n: v for n, v in a.items()})
+
+    @given(ref_pairs())
+    def test_equal_iff_reference_equal(self, ab):
+        a, b = ab
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        assert (p == q) == (ref_clean(a) == ref_clean(b))
+        # The same polynomial reached by another route hashes the same.
+        r = (p + q) - q
+        assert r == p and hash(r) == hash(p)
+
+
+def test_huge_index_gap_stays_sparse():
+    tracemalloc.start()
+    try:
+        f = LaurentPoly({0: 1, 10 ** 12: 1})
+        g = LaurentPoly({0: 1, -10 ** 12: 1})
+        h = f * g
+        same = h == LaurentPoly({-10 ** 12: 1, 0: 2, 10 ** 12: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert h.order() == 2 * 10 ** 12 and len(h.indices()) == 3
+    assert peak < 100_000

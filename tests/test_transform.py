@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftbank.errors import NonIntegerInput, NotDyadic
+from liftbank.errors import InvalidArgument, NonIntegerInput, NotDyadic
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import LiftingCascade, lower, upper
 from liftbank.polyphase import PolyphaseMatrix, PolyphaseVector, haar_bank
@@ -148,3 +148,8 @@ class TestVerifyPR:
     def test_singular_base(self):
         c = LiftingCascade(F(1), (), PolyphaseMatrix.from_entries(1, 1, 1, 1))
         assert not verify_pr(c).ok
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_is_no_verdict(self, trials):
+        with pytest.raises(InvalidArgument):
+            verify_pr(haar_cascade(), trials=trials)
