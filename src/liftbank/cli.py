@@ -19,11 +19,10 @@ from .errors import (BaseNotIdentity, DCZero, FactorizationStuck,
 from .factor import (equivalent_mod_rescaling, factor_euclidean, factor_hs,
                      factor_ws)
 from .glstructure import S_H, S_W, cascade_in_structure, check_order_increasing
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _fmt_fraction
 from .lifting import LiftingCascade, lower, upper
 from .polyphase import IDENTITY, haar_bank
-from .formats import (parse_bank, parse_cascade, print_bank, print_cascade,
-                      _fmt_fraction)
+from .formats import parse_bank, parse_cascade, print_bank, print_cascade
 from .transform import (apply_analysis, apply_synthesis, reversible_analysis,
                         reversible_synthesis, verify_pr)
 

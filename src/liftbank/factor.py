@@ -1,9 +1,10 @@
 """Constructive lifting factorization algorithms.
 
-factor_ws peels half-sample symmetric steps off a delay-minimized WS bank
-(order-reducing recursion in the scalar domain); factor_hs peels
-whole-sample antisymmetric steps off a concentric HS bank down to an
-equal-length base; factor_euclidean is the generic Euclidean-algorithm
+factor_ws and factor_hs are one peel engine driven by the group lifting
+structure: factor_ws peels the half-sample symmetric steps of S_W off a
+delay-minimized WS bank down to a gain scaling; factor_hs peels the
+whole-sample antisymmetric steps of S_H off a concentric HS bank down to
+an equal-length base; factor_euclidean is the generic Euclidean-algorithm
 oracle with two pivot policies; equivalent_mod_rescaling compares two
 irreducible cascades up to a gain rescaling.
 """
@@ -12,15 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import List, Optional, Tuple
 
 from .errors import (DCZero, FactorizationStuck, NotHSConcentric,
                      NotIrreducible, NotUnimodular, NotWSDelayMinimized)
-from .laurent import LaurentPoly
+from .glstructure import S_H, S_W, GroupLiftingStructure
+from .laurent import ZERO, LaurentPoly
 from .lifting import (LiftingCascade, LiftingStep, normalize_semidirect,
                       scaling_matrix)
 from .linsolve import solve_exact
-from .polyphase import PolyphaseMatrix, classify_bank, make_bank
+from .polyphase import BankClass, PolyphaseMatrix, classify_bank, make_bank
 
 # ---------------------------------------------------------------------------
 # Laurent division
@@ -37,8 +40,8 @@ def laurent_divmod(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Lau
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.zero()
-    a_d, b_d = den.support()
-    d_order = b_d - a_d
+    d_ends = den.support()
+    d_order = d_ends[1] - d_ends[0]
     kills = num.order() - d_order + 1
     if kills <= 0:
         return LaurentPoly.zero(), num
@@ -47,20 +50,16 @@ def laurent_divmod(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Lau
     for tops in range(kills + 1):
         q: dict = {}
         r = num
-        for _ in range(tops):
+        # Kill the top term of r `tops` times, then bottom terms until r is
+        # shorter than den.
+        for i in count():
             if r.is_zero() or r.order() < d_order:
                 break
-            b_r = r.support()[1]
-            shift = b_r - b_d
-            coef = r.coeff(b_r) / den.coeff(b_d)
-            q[shift] = q.get(shift, 0) + coef
-            r = r - den.shift(shift).scale(coef)
-        while not r.is_zero() and r.order() >= d_order:
-            a_r = r.support()[0]
-            shift = a_r - a_d
-            coef = r.coeff(a_r) / den.coeff(a_d)
-            q[shift] = q.get(shift, 0) + coef
-            r = r - den.shift(shift).scale(coef)
+            end = 1 if i < tops else 0
+            n_r, n_d = r.support()[end], d_ends[end]
+            coef = r.coeff(n_r) / den.coeff(n_d)
+            q[n_r - n_d] = q.get(n_r - n_d, 0) + coef
+            r = r - den.shift(n_r - n_d).scale(coef)
         width = 0 if r.is_zero() else r.order() + 1
         top = 0 if r.is_zero() else -r.support()[0]  # top degree of z
         key = (width, top)
@@ -77,161 +76,113 @@ def _monomial_inverse(f: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# WS factorization
+# WS and HS factorization: one peel engine driven by the lifting structure
 
 
-def _channel_radius(f: LaurentPoly, channel: int) -> int:
-    """Support radius of a WS intermediate filter, validating that its
-    support is centered at -channel."""
-    a, b = f.support()
-    if a + b != -2 * channel:
-        raise FactorizationStuck(f"channel {channel} support not centered at {-channel}")
-    return f.supprad()
+def _upsample(f: LaurentPoly) -> LaurentPoly:
+    """F(z) -> F(z^2): a step filter as it acts on a scalar filter."""
+    return LaurentPoly._interleave(f, ZERO)
+
+
+def _stuck(g: GroupLiftingStructure, i: int, orders: List[int],
+           why: str) -> FactorizationStuck:
+    return FactorizationStuck(f"{g.name} channel {i} (filter orders "
+                              f"{orders[0]}, {orders[1]}): {why}")
+
+
+def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix,
+          cls: BankClass) -> Tuple[List[LaurentPoly], List[LiftingStep]]:
+    """Peel steps of structure g off bank h until its two scalar filters
+    have equal orders; returns those filters and the steps in product
+    order (last-applied first).
+
+    Filter i stays centred at its group delay d_i from cls: support [a, b]
+    with a + b = 2 d_i.  The filter m of larger order was lifted last, by
+    s = sum_k u_k g_k over the first t generators of its filter group,
+    where 2 order(g_t) is the order gap.  The weights u solve the exact
+    system that cancels the lifted taps i with |2i - 2 d_m| > order(other).
+    """
+    # Integer centres: Fraction arithmetic here would slow every peel.
+    two_d = (int(2 * cls.d0), int(2 * cls.d1))
+    e = [h.scalar_filter(0), h.scalar_filter(1)]
+    peeled: List[LiftingStep] = []
+    while True:
+        spans = [f.support() for f in e]
+        orders = [b - a for a, b in spans]
+        for i, (a, b) in enumerate(spans):
+            if a + b != two_d[i]:
+                raise _stuck(g, i, orders, "support not centred at the group delay")
+        if orders[0] == orders[1]:
+            return e, peeled
+        m = 0 if orders[0] > orders[1] else 1
+        lifted, other, small = e[m], e[1 - m], orders[1 - m]
+        spec = g.filter_spec(m)
+        gap = orders[m] - small
+        gens = [spec.basis(k) for k in range(1, (gap // 2 + 1) // 2 + 1)]
+        if not gens or 2 * gens[-1].order() != gap:
+            raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
+        cols = [_upsample(gk) * other for gk in gens]
+        a, b = spans[m]
+        idxs = [i for i in range(a, b + 1) if abs(2 * i - two_d[m]) > small]
+        sol = solve_exact([[col.coeff(i) for col in cols] for i in idxs],
+                          [lifted.coeff(i) for i in idxs])
+        if sol is None:
+            raise _stuck(g, m, orders, "singular cancellation system")
+        s = sum((gk.scale(u) for gk, u in zip(gens, sol)), ZERO)
+        new = lifted - _upsample(s) * other
+        if new.is_zero() or new.order() > small:
+            raise _stuck(g, m, orders, "peel did not reduce the order")
+        e[m] = new
+        peeled.append(LiftingStep(m, s))
 
 
 def factor_ws(h: PolyphaseMatrix) -> LiftingCascade:
     """The unique irreducible lifting factorization of a delay-minimized
     unimodular WS bank into HS-filter lifting steps and a gain scaling.
 
-    Works top-down: the row with the larger scalar support radius was
-    lifted last; the step filter's support radius is forced by the radius
-    recursion, and its taps are solved from the exact linear system that
-    cancels the outermost taps of that row.
+    Peels S_W steps (see _peel) down to a constant diagonal remainder,
+    which becomes the gain scaling.
     """
     if not h.det_info().unimodular:
         raise NotUnimodular("factor_ws requires a unimodular bank")
-    if classify_bank(h).kind != "WS_DELAY_MINIMIZED":
+    cls = classify_bank(h)
+    if cls.kind != "WS_DELAY_MINIMIZED":
         raise NotWSDelayMinimized("factor_ws requires a delay-minimized WS bank")
 
-    e = [h.scalar_filter(0), h.scalar_filter(1)]
-    collected: List[LiftingStep] = []  # product order, leftmost factor first
-    while True:
-        r0 = _channel_radius(e[0], 0)
-        r1 = _channel_radius(e[1], 1)
-        if r0 == 0 and r1 == 0:
-            break
-        if r0 == r1:
-            raise FactorizationStuck("equal nonzero support radii")
-        m = 0 if r0 > r1 else 1
-        center = -m
-        big, small = (r0, r1) if m == 0 else (r1, r0)
-        if (big - small) % 2 == 0:
-            raise FactorizationStuck("radius gap has wrong parity")
-        t = (big - small + 1) // 2
-        lifted, other = e[m], e[1 - m]
-        # Step filter is HS about +1/2 (m=0) or -1/2 (m=1); the unknown
-        # half-taps are u_k = s(k) = s(1-k), resp. u_k = s(-k) = s(k-1).
-        if m == 0:
-            taps = [(2 * k, 2 - 2 * k) for k in range(1, t + 1)]
-        else:
-            taps = [(-2 * k, 2 * k - 2) for k in range(1, t + 1)]
-        idxs = [i for i in range(center - big, center + big + 1)
-                if abs(i - center) > small]
-        rows = [[other.coeff(i - p) + other.coeff(i - q) for (p, q) in taps]
-                for i in idxs]
-        rhs = [lifted.coeff(i) for i in idxs]
-        sol = solve_exact(rows, rhs)
-        if sol is None:
-            raise FactorizationStuck("singular cancellation system")
-        coeffs: dict = {}
-        for k, u in zip(range(1, t + 1), sol):
-            if m == 0:
-                coeffs[k] = u
-                coeffs[1 - k] = u
-            else:
-                coeffs[-k] = u
-                coeffs[k - 1] = u
-        s = LaurentPoly(coeffs)
-        if s.is_zero():
-            raise FactorizationStuck("trivial peel step")
-        s_up = LaurentPoly({2 * n: v for n, v in s.items()})
-        new = lifted - s_up * other
-        if new.is_zero() or new.supprad() >= big:
-            raise FactorizationStuck("peel did not reduce the support radius")
-        e[m] = new
-        collected.append(LiftingStep(m, s))
-
+    e, peeled = _peel(S_W, h, cls)
     if e[0].support() != (0, 0) or e[1].support() != (-1, -1):
         raise FactorizationStuck("non-diagonal constant remainder")
     k = e[1].coeff(-1)
     if e[0].coeff(0) * k != 1:
         raise FactorizationStuck("remainder is not a unimodular scaling")
-    out = normalize_semidirect(collected + [k])
+    out = normalize_semidirect(peeled + [k])
     if out.product() != h:
         raise FactorizationStuck("product check failed")
     return out
-
-
-# ---------------------------------------------------------------------------
-# HS partial factorization
 
 
 def factor_hs(h: PolyphaseMatrix, normalize_dc: bool = False) -> LiftingCascade:
     """Partial factorization of a concentric unimodular HS bank into WA
     lifting steps over a concentric equal-length HS base.
 
-    Peels WA steps while the two scalar orders differ; equal orders are
-    the terminal condition.  With normalize_dc the base is rescaled so
-    its lowpass DC response is exactly 1, folding the compensating gain
-    into the cascade scale.
+    Peels S_H steps (see _peel) while the two scalar orders differ; equal
+    orders are the terminal condition.  With normalize_dc the result is
+    passed through dc_normalize.
     """
     if not h.det_info().unimodular:
         raise NotUnimodular("factor_hs requires a unimodular bank")
-    if classify_bank(h).kind != "HS_CONCENTRIC":
+    cls = classify_bank(h)
+    if cls.kind != "HS_CONCENTRIC":
         raise NotHSConcentric("factor_hs requires a concentric HS bank")
 
-    e = [h.scalar_filter(0), h.scalar_filter(1)]
-    collected: List[LiftingStep] = []  # product order
-    while True:
-        for i in (0, 1):
-            a, b = e[i].support()
-            if a + b != -1:
-                raise FactorizationStuck("intermediate filter not concentric")
-        ord0, ord1 = e[0].order(), e[1].order()
-        if ord0 == ord1:
-            break
-        m = 0 if ord0 > ord1 else 1
-        big, small = max(ord0, ord1), min(ord0, ord1)
-        if (big - small) % 4:
-            raise FactorizationStuck("order gap not a multiple of 4")
-        t = (big - small) // 4
-        lifted, other = e[m], e[1 - m]
-        a_s, b_s = other.support()
-        a_l, b_l = lifted.support()
-        # WA step filter: s(0) = 0, s(-k) = -s(k) = u_k for k = 1..t.
-        idxs = [i for i in range(a_l, b_l + 1) if i < a_s or i > b_s]
-        rows = [[other.coeff(i - 2 * k) - other.coeff(i + 2 * k)
-                 for k in range(1, t + 1)] for i in idxs]
-        rhs = [lifted.coeff(i) for i in idxs]
-        sol = solve_exact(rows, rhs)
-        if sol is None:
-            raise FactorizationStuck("singular cancellation system")
-        s = LaurentPoly({sgn * k: sgn * u for k, u in zip(range(1, t + 1), sol)
-                         for sgn in (-1, 1)})
-        if s.is_zero():
-            raise FactorizationStuck("trivial peel step")
-        s_up = LaurentPoly({2 * n: v for n, v in s.items()})
-        new = lifted - s_up * other
-        if new.is_zero() or new.order() > small:
-            raise FactorizationStuck("peel did not reduce the order")
-        e[m] = new
-        collected.append(LiftingStep(m, s))
-
+    e, peeled = _peel(S_H, h, cls)
     base = make_bank(e[0], e[1])
     cls = classify_bank(base)
     if not (base.is_unimodular and cls.kind == "HS_CONCENTRIC" and cls.equal_length_base):
         raise FactorizationStuck("terminal bank is not an equal-length HS base")
-
-    steps = tuple(reversed(collected))
-    scale = Fraction(1)
+    out = LiftingCascade(Fraction(1), tuple(reversed(peeled)), base)
     if normalize_dc:
-        alpha = e[0](1)
-        if alpha == 0:
-            raise DCZero("base lowpass DC response is zero")
-        base = scaling_matrix(alpha) @ base
-        steps = tuple(s.conjugate(alpha) for s in steps)
-        scale = 1 / alpha
-    out = LiftingCascade(scale, steps, base)
+        out = dc_normalize(out)
     if out.product() != h:
         raise FactorizationStuck("product check failed")
     return out
@@ -275,15 +226,15 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
     rows = [h.row0, h.row1]
     ops: List[LiftingStep] = []  # left-applied inverse steps, in order
 
-    def entry(i: int) -> LaurentPoly:
-        return rows[i].comp0 if col == 0 else rows[i].comp1
+    def e(i: int, j: int) -> LaurentPoly:
+        return rows[i].comp0 if j == 0 else rows[i].comp1
 
     def apply_step(i: int, filt: LaurentPoly):
         rows[i] = rows[i] + rows[1 - i].filtermul(filt)
         ops.append(LiftingStep(i, filt))
 
-    while entry(0) and entry(1):
-        q, _ = laurent_divmod(entry(target), entry(1 - target))
+    while e(0, col) and e(1, col):
+        q, _ = laurent_divmod(e(target, col), e(1 - target, col))
         if q.is_zero():
             target = 1 - target
             continue
@@ -292,7 +243,6 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
 
     # Endgame: one column entry is zero; clear the off-pattern entry and
     # expand the monomial remainder.
-    e = lambda i, j: rows[i].comp0 if j == 0 else rows[i].comp1
     if e(1, 1).is_zero() or e(0, 0).is_zero():
         # heading to an antidiagonal remainder
         if e(1, 1).is_zero() and e(0, 0):

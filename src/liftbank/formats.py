@@ -15,44 +15,12 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DuplicateTap, ParseError, ZeroTap
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _fmt_fraction, _int_str, _str_int
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 
-# CPython refuses int <-> decimal str conversions past a process-wide digit
-# limit (4300 by default, never below 640); factorization coefficients can
-# be longer.  Numbers are converted in pieces of at most _CHUNK_DIGITS
-# digits, which every allowed limit admits, without touching the limit.
-_CHUNK_DIGITS = 512
-_CHUNK_BITS = 1700      # 2**1700 < 10**512
-
-
-def _int_str(n: int) -> str:
-    """str(n) for an int of any length."""
-    if n < 0:
-        return "-" + _int_str(-n)
-    if n.bit_length() <= _CHUNK_BITS:
-        return str(n)
-    low = int(n.bit_length() * 0.30103) // 2   # about half the digits
-    high, rest = divmod(n, 10 ** low)
-    return _int_str(high) + _int_str(rest).zfill(low)
-
-
-def _str_int(digits: str) -> int:
-    """int(digits) for a string of decimal digits of any length."""
-    if len(digits) <= _CHUNK_DIGITS:
-        return int(digits)
-    low = len(digits) // 2
-    return _str_int(digits[:-low]) * 10 ** low + _str_int(digits[-low:])
-
-
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
-
-
-def _fmt_fraction(v: Fraction) -> str:
-    num = _int_str(v.numerator)
-    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
 
 
 def _parse_fraction(tok: str, line_no: int) -> Fraction:

@@ -50,6 +50,20 @@ class FilterGroupSpec:
             return tag.kind == "WA" and tag.axis == 0
         raise ValueError(f"unknown filter group kind {self.kind!r}")
 
+    def basis(self, k: int) -> LaurentPoly:
+        """The k-th generator (k >= 1) of the step group, a filter of
+        support radius k; the members of support radius t are the rational
+        combinations of the first t generators with a nonzero t-th weight."""
+        if k < 1:
+            raise ValueError(f"generator index must be >= 1, got {k}")
+        if self.kind == HS_PLUS:
+            return LaurentPoly({k: 1, 1 - k: 1})
+        if self.kind == HS_MINUS:
+            return LaurentPoly({-k: 1, k - 1: 1})
+        if self.kind == WA_ZERO:
+            return LaurentPoly({-k: 1, k: -1})
+        raise ValueError(f"filter group kind {self.kind!r} has no generators")
+
 
 @dataclass(frozen=True)
 class GroupLiftingStructure:

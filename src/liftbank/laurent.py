@@ -34,6 +34,40 @@ def _canonical(num: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
     return num, den
 
 
+# Exact rationals <-> text, for str() here and for the file formats and the
+# CLI.  CPython refuses int <-> decimal str conversions past a process-wide
+# digit limit (4300 by default, never below 640); factorization coefficients
+# can be longer.  Numbers are converted in pieces of at most _CHUNK_DIGITS
+# digits, which every allowed limit admits, without touching the limit.
+_CHUNK_DIGITS = 512
+_CHUNK_BITS = 1700      # 2**1700 < 10**512
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any length."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    low = int(n.bit_length() * 0.30103) // 2   # about half the digits
+    high, rest = divmod(n, 10 ** low)
+    return _int_str(high) + _int_str(rest).zfill(low)
+
+
+def _str_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _str_int(digits[:-low]) * 10 ** low + _str_int(digits[-low:])
+
+
+def _fmt_fraction(v: Fraction) -> str:
+    """`p` or `p/q`, for a rational of any length."""
+    num = _int_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
+
+
 def is_dyadic(q: Rational) -> bool:
     """True iff q has a power-of-two denominator (integers included)."""
     den = Fraction(q).denominator
@@ -270,9 +304,9 @@ class LaurentPoly:
             return "0"
         parts = []
         for n in sorted(self._num):
-            v = Fraction(self._num[n], self._den)
+            v = _fmt_fraction(Fraction(self._num[n], self._den))
             if n == 0:
-                parts.append(str(v))
+                parts.append(v)
             else:
                 e = -n
                 parts.append(f"{v}*z^{e}" if e != 1 else f"{v}*z")

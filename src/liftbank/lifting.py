@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import BaseNotIdentity, NotIrreducible
-from .laurent import LaurentPoly, Rational
+from .laurent import LaurentPoly, Rational, is_dyadic
 from .polyphase import IDENTITY, PolyphaseMatrix
 
 
@@ -94,18 +94,13 @@ class LiftingCascade:
 
     @property
     def is_dyadic(self) -> bool:
-        from .laurent import is_dyadic
         return (is_dyadic(self.scale) and all(s.filter.is_dyadic for s in self.steps)
                 and self.base.is_dyadic)
 
     def product(self) -> PolyphaseMatrix:
         """Exact matrix product D_K * S_{N-1} ... S_0 * B."""
-        acc = self.base
-        for s in self.steps:
-            acc = s.matrix() @ acc
-        if self.scale != 1:
-            acc = scaling_matrix(self.scale) @ acc
-        return acc
+        acc = self.intermediates()[-1]
+        return acc if self.scale == 1 else scaling_matrix(self.scale) @ acc
 
     def intermediates(self) -> List[PolyphaseMatrix]:
         """Partial products E^(-1) = B, E^(n) = S_n E^(n-1), unscaled."""
@@ -115,11 +110,11 @@ class LiftingCascade:
         return out
 
 
-def reduce_to_irreducible(c: LiftingCascade) -> LiftingCascade:
-    """Merge same-characteristic neighbors and drop trivial steps; the
-    matrix product is preserved exactly."""
+def _merge(steps: Iterable[LiftingStep]) -> Tuple[LiftingStep, ...]:
+    """Merge same-characteristic neighbors and drop trivial steps,
+    cascading at the seams; the product of the steps is preserved exactly."""
     stack: List[LiftingStep] = []
-    for s in c.steps:
+    for s in steps:
         if s.filter.is_zero():
             continue
         while stack and stack[-1].m == s.m:
@@ -129,7 +124,13 @@ def reduce_to_irreducible(c: LiftingCascade) -> LiftingCascade:
                 break
         if s is not None:
             stack.append(s)
-    return LiftingCascade(c.scale, tuple(stack), c.base)
+    return tuple(stack)
+
+
+def reduce_to_irreducible(c: LiftingCascade) -> LiftingCascade:
+    """Merge same-characteristic neighbors and drop trivial steps; the
+    matrix product is preserved exactly."""
+    return LiftingCascade(c.scale, _merge(c.steps), c.base)
 
 
 WordElement = Union[LiftingStep, Fraction, int]
@@ -185,10 +186,8 @@ class GroupWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        if any(s.filter.is_zero() for s in self.letters):
-            raise NotIrreducible("word contains an identity letter")
-        if any(a.m == b.m for a, b in zip(self.letters, self.letters[1:])):
-            raise NotIrreducible("word is not reduced")
+        if not self.cascade().is_irreducible:
+            raise NotIrreducible("word has an identity letter or is not reduced")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -197,10 +196,7 @@ class GroupWord:
         return not self.letters
 
     def matrix(self) -> PolyphaseMatrix:
-        acc = IDENTITY
-        for s in self.letters:
-            acc = acc @ s.matrix()
-        return acc
+        return self.cascade().product()
 
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple(s.inverse() for s in reversed(self.letters)))
@@ -216,18 +212,7 @@ class GroupWord:
 def reduce_word(letters: Iterable[LiftingStep]) -> GroupWord:
     """Free-product reduction: merge same-alphabet neighbors, cancel
     identity letters, cascade at the seams."""
-    stack: List[LiftingStep] = []
-    for s in letters:
-        if s.filter.is_zero():
-            continue
-        while stack and stack[-1].m == s.m:
-            s = LiftingStep(s.m, stack.pop().filter + s.filter)
-            if s.filter.is_zero():
-                s = None
-                break
-        if s is not None:
-            stack.append(s)
-    return GroupWord(tuple(stack))
+    return GroupWord(_merge(letters))
 
 
 def word_concat(w1: GroupWord, w2: GroupWord) -> GroupWord:

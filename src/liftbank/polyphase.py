@@ -14,6 +14,15 @@ from typing import Optional, Tuple
 from .errors import EmptySupport, NotUnimodular
 from .laurent import LaurentPoly, Rational
 
+
+def _hull(polys, what: str) -> Tuple[int, int]:
+    """Smallest interval holding the supports of the nonzero polys."""
+    spans = [p.support() for p in polys if p]
+    if not spans:
+        raise EmptySupport(what)
+    return min(a for a, _ in spans), max(b for _, b in spans)
+
+
 # ---------------------------------------------------------------------------
 # Polyphase vectors
 
@@ -25,15 +34,7 @@ class PolyphaseVector:
 
     def support(self) -> Tuple[int, int]:
         """Vector-valued support interval [c, d] (union of the components)."""
-        if self.comp0.is_zero() and self.comp1.is_zero():
-            raise EmptySupport("zero polyphase vector")
-        lo, hi = None, None
-        for comp in (self.comp0, self.comp1):
-            if comp:
-                a, b = comp.support()
-                lo = a if lo is None else min(lo, a)
-                hi = b if hi is None else max(hi, b)
-        return lo, hi
+        return _hull((self.comp0, self.comp1), "zero polyphase vector")
 
     def order(self) -> int:
         c, d = self.support()
@@ -183,15 +184,7 @@ class PolyphaseMatrix:
 
     def support(self) -> Tuple[int, int]:
         """Matrix impulse-response support interval (union over entries)."""
-        lo, hi = None, None
-        for e in self.entries():
-            if e:
-                a, b = e.support()
-                lo = a if lo is None else min(lo, a)
-                hi = b if hi is None else max(hi, b)
-        if lo is None:
-            raise EmptySupport("zero matrix")
-        return lo, hi
+        return _hull(self.entries(), "zero matrix")
 
     def order(self) -> int:
         c, d = self.support()

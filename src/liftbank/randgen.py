@@ -11,9 +11,9 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from .glstructure import (GroupLiftingStructure, HS_MINUS, HS_PLUS, S_H, S_W,
-                          WA_ZERO)
-from .laurent import LaurentPoly
+from .glstructure import (FilterGroupSpec, GroupLiftingStructure, HS_MINUS,
+                          HS_PLUS, S_H, S_W, UNRESTRICTED, WA_ZERO)
+from .laurent import ZERO, LaurentPoly
 from .lifting import GroupWord, LiftingCascade, LiftingStep, reduce_word
 from .linsolve import solve_exact
 from .polyphase import PolyphaseMatrix, PolyphaseVector, analyze_filter
@@ -39,47 +39,35 @@ def rand_poly(rng: random.Random, lo: int = -3, hi: int = 3,
             return f
 
 
-def rand_hs_filter(rng: random.Random, axis_num: int, t: Optional[int] = None) -> LaurentPoly:
-    """Nonzero HS filter about axis_num/2 (axis_num is +1 or -1) with
-    support radius t."""
+def _rand_group_filter(rng: random.Random, spec: FilterGroupSpec,
+                       t: Optional[int] = None) -> LaurentPoly:
+    """Nonzero member of the filter group spec with support radius t: a
+    dyadic combination of its first t generators."""
     t = t or rng.randint(1, 3)
     half = [rand_dyadic(rng) for _ in range(t)]
     half[-1] = half[-1] or rand_dyadic(rng, nonzero=True)  # keep radius exactly t
-    coeffs = {}
+    f = ZERO
     for k, u in enumerate(half, start=1):
-        if axis_num > 0:
-            coeffs[k] = u
-            coeffs[1 - k] = u
-        else:
-            coeffs[-k] = u
-            coeffs[k - 1] = u
-    return LaurentPoly(coeffs)
+        f = f + spec.basis(k).scale(u)
+    return f
+
+
+def rand_hs_filter(rng: random.Random, axis_num: int, t: Optional[int] = None) -> LaurentPoly:
+    """Nonzero HS filter about axis_num/2 (axis_num is +1 or -1) with
+    support radius t."""
+    return _rand_group_filter(rng, FilterGroupSpec(HS_PLUS if axis_num > 0 else HS_MINUS), t)
 
 
 def rand_wa_filter(rng: random.Random, t: Optional[int] = None) -> LaurentPoly:
     """Nonzero WA filter about 0 with support radius t."""
-    t = t or rng.randint(1, 3)
-    half = [rand_dyadic(rng) for _ in range(t)]
-    half[-1] = half[-1] or rand_dyadic(rng, nonzero=True)
-    coeffs = {}
-    for k, u in enumerate(half, start=1):
-        coeffs[-k] = u
-        coeffs[k] = -u
-    return LaurentPoly(coeffs)
+    return _rand_group_filter(rng, FilterGroupSpec(WA_ZERO), t)
 
 
 def rand_admissible_step(rng: random.Random, g: GroupLiftingStructure,
                          m: Optional[int] = None) -> LiftingStep:
     m = rng.randint(0, 1) if m is None else m
-    kind = g.filter_spec(m).kind
-    if kind == HS_PLUS:
-        f = rand_hs_filter(rng, +1)
-    elif kind == HS_MINUS:
-        f = rand_hs_filter(rng, -1)
-    elif kind == WA_ZERO:
-        f = rand_wa_filter(rng)
-    else:
-        f = rand_poly(rng)
+    spec = g.filter_spec(m)
+    f = rand_poly(rng) if spec.kind == UNRESTRICTED else _rand_group_filter(rng, spec)
     return LiftingStep(m, f)
 
 
@@ -107,8 +95,7 @@ def rand_ws_cascade(rng: random.Random, n_steps: Optional[int] = None,
 def rand_dyadic_ws_cascade(rng: random.Random,
                            n_steps: Optional[int] = None) -> LiftingCascade:
     """Random reversible-style cascade: dyadic filters, K = 1, base I."""
-    n_steps = rng.randint(1, 8) if n_steps is None else n_steps
-    return LiftingCascade(Fraction(1), tuple(_alternating_steps(rng, S_W, n_steps)))
+    return rand_ws_cascade(rng, n_steps, random_scale=False)
 
 
 def rand_equal_length_hs_base(rng: random.Random,

@@ -20,6 +20,22 @@ from .polyphase import IDENTITY, PolyphaseVector, merge_signal, split_signal
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 
 
+def _ladder(c: LiftingCascade, y: list, lift, inverse: bool = False) -> list:
+    """Run the lifting steps of c on the channel pair y = [y0, y1] and
+    return it.  Step (m, S) sets y[m] = lift(y[m], S, y[1 - m], sign):
+    forward, first step to last with sign +1; inverse, last step to first
+    with sign -1, which undoes each step exactly."""
+    sign = -1 if inverse else 1
+    for s in (reversed(c.steps) if inverse else c.steps):
+        y[s.m] = lift(y[s.m], s.filter, y[1 - s.m], sign)
+    return y
+
+
+def _exact_lift(dst: LaurentPoly, filt: LaurentPoly, src: LaurentPoly,
+                sign: int) -> LaurentPoly:
+    return dst + filt * src if sign > 0 else dst - filt * src
+
+
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     """Polyphase split followed by base, steps, then gain scaling.
 
@@ -27,12 +43,7 @@ def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     """
     x0, x1 = split_signal(x)
     v = c.base.apply(PolyphaseVector(x0, x1))
-    y0, y1 = v.comp0, v.comp1
-    for s in c.steps:
-        if s.m == 0:
-            y0 = y0 + s.filter * y1
-        else:
-            y1 = y1 + s.filter * y0
+    y0, y1 = _ladder(c, [v.comp0, v.comp1], _exact_lift)
     if c.scale != 1:
         y0 = y0.scale(1 / c.scale)
         y1 = y1.scale(c.scale)
@@ -45,11 +56,7 @@ def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
     if c.scale != 1:
         y0 = y0.scale(c.scale)
         y1 = y1.scale(1 / c.scale)
-    for s in reversed(c.steps):
-        if s.m == 0:
-            y0 = y0 - s.filter * y1
-        else:
-            y1 = y1 - s.filter * y0
+    y0, y1 = _ladder(c, [y0, y1], _exact_lift, inverse=True)
     v = c.base.inverse().apply(PolyphaseVector(y0, y1))
     return merge_signal(v.comp0, v.comp1)
 
@@ -101,37 +108,31 @@ def _rounded_update(filt: LaurentPoly, src: IntSignal) -> IntSignal:
     return out
 
 
+def _rounded_lift(dst: IntSignal, filt: LaurentPoly, src: IntSignal,
+                  sign: int) -> IntSignal:
+    """dst += sign * round(S * src), in place."""
+    for n, v in _rounded_update(filt, src).items():
+        nv = dst.get(n, 0) + sign * v
+        if nv:
+            dst[n] = nv
+        else:
+            dst.pop(n, None)
+    return dst
+
+
 def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPair:
     """Integer-to-integer lifting ladder with per-step rounding."""
     _check_reversible(c)
     if any(int(v) != v for v in x.values()):
         raise NonIntegerInput("reversible mode requires integer samples")
-    y0, y1 = _int_split(x)
-    for s in c.steps:
-        upd = _rounded_update(s.filter, y1 if s.m == 0 else y0)
-        dst = y0 if s.m == 0 else y1
-        for n, v in upd.items():
-            nv = dst.get(n, 0) + v
-            if nv:
-                dst[n] = nv
-            else:
-                dst.pop(n, None)
+    y0, y1 = _ladder(c, list(_int_split(x)), _rounded_lift)
     return y0, y1
 
 
 def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
     """Bit-exact inverse of reversible_analysis."""
     _check_reversible(c)
-    y0, y1 = dict(y[0]), dict(y[1])
-    for s in reversed(c.steps):
-        upd = _rounded_update(s.filter, y1 if s.m == 0 else y0)
-        dst = y0 if s.m == 0 else y1
-        for n, v in upd.items():
-            nv = dst.get(n, 0) - v
-            if nv:
-                dst[n] = nv
-            else:
-                dst.pop(n, None)
+    y0, y1 = _ladder(c, [dict(y[0]), dict(y[1])], _rounded_lift, inverse=True)
     return _int_merge(y0, y1)
 
 
@@ -141,12 +142,10 @@ def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
 
 @dataclass(frozen=True)
 class PRReport:
-    """ok iff every sampled round trip reproduced the input exactly with
-    amplitude 1 and delay 0."""
+    """ok iff every sampled round trip reproduced the input exactly, with
+    the a = 1, d = 0 convention: no gain, no delay."""
 
     ok: bool
-    amplitude: Fraction = Fraction(1)
-    delay: int = 0
     trials: int = 0
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from liftbank.errors import (DCZero, NotHSConcentric, NotIrreducible,
                              NotUnimodular, NotWSDelayMinimized)
@@ -84,6 +86,11 @@ class TestFactorWS:
             assert c.product() == h
             assert check_order_increasing(c)[0] or not c.steps
 
+    @given(st.integers(0, 2 ** 32))
+    def test_recovers_random_cascade(self, seed):
+        gen = rand_ws_cascade(random.Random(seed))
+        assert factor_ws(gen.product()) == gen
+
     def test_reversible_closure(self):
         rng = random.Random(3)
         for _ in range(25):
@@ -127,6 +134,12 @@ class TestFactorHS:
         for _ in range(40):
             gen = rand_hs_cascade(rng)
             assert factor_hs(gen.product(), normalize_dc=True) == dc_normalize(gen)
+
+    @given(st.integers(0, 2 ** 32))
+    def test_recovers_random_cascade_dc_normalized(self, seed):
+        gen = rand_hs_cascade(random.Random(seed))
+        assume(gen.base.scalar_filter(0)(1) != 0)
+        assert factor_hs(gen.product(), normalize_dc=True) == dc_normalize(gen)
 
     def test_dc_normalization_fixes_lowpass(self):
         rng = random.Random(6)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from liftbank.errors import NotAdmissible, NotIrreducible
-from liftbank.glstructure import (S_H, S_HR, S_W, S_WR, base_admissible,
-                                  cascade_in_structure, check_order_increasing,
-                                  d_invariance_check, step_admissible, ws_radii)
+from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_HR, S_W, S_WR,
+                                  UNRESTRICTED, WA_ZERO, FilterGroupSpec,
+                                  base_admissible, cascade_in_structure,
+                                  check_order_increasing, d_invariance_check,
+                                  step_admissible, ws_radii)
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
 from liftbank.polyphase import IDENTITY, haar_bank
@@ -50,6 +52,19 @@ class TestStepAdmissible:
                     spec = g.filter_spec(m)
                     assert spec.member(a.filter + b.filter)
                     assert spec.member(-a.filter)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("kind", [HS_PLUS, HS_MINUS, WA_ZERO])
+    def test_members_of_radius_k(self, kind):
+        for spec in (FilterGroupSpec(kind), FilterGroupSpec(kind, True)):
+            for k in range(1, 7):
+                g = spec.basis(k)
+                assert spec.member(g) and g.supprad() == k
+
+    def test_unrestricted_has_none(self):
+        with pytest.raises(ValueError):
+            FilterGroupSpec(UNRESTRICTED).basis(1)
 
 
 class TestBaseAdmissible:

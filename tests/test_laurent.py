@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from liftbank.errors import EmptySupport
 from liftbank.laurent import LaurentPoly, is_dyadic
+from liftbank.polyphase import PolyphaseMatrix
 
 F = Fraction
 
@@ -169,6 +170,15 @@ class TestDyadic:
         assert LaurentPoly({0: F(1, 4), 1: 2}).is_dyadic
         assert not LaurentPoly({0: F(1, 6)}).is_dyadic
         assert LaurentPoly({0: 3}).is_integer
+
+
+class TestStr:
+    def test_huge_rationals(self):
+        # Past CPython's default 4,300-digit int/str limit.
+        p = LaurentPoly({0: F(10 ** 5000 + 1, 3)})
+        digits = "1" + "0" * 4999 + "1"
+        assert str(p) == digits + "/3"
+        assert digits + "/3" in str(PolyphaseMatrix.from_entries(p, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
