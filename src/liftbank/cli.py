@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 failed verification, 2 parse error (of a bank
-or cascade file, or of the command line), 3 precondition violation.
+or cascade file, or of the command line), 3 precondition violation (any
+other library error).
 Reports go to stdout, diagnostics to stderr.
 """
 
@@ -12,10 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import (BaseNotIdentity, DCZero, FactorizationStuck,
-                     NonIntegerInput, NotAdmissible, NotDyadic,
-                     NotHSConcentric, NotIrreducible, NotUnimodular,
-                     NotWSDelayMinimized, ParseError)
+from .errors import LiftbankError, ParseError
 from .factor import (equivalent_mod_rescaling, factor_euclidean, factor_hs,
                      factor_ws)
 from .glstructure import S_H, S_W, cascade_in_structure, check_order_increasing
@@ -25,11 +23,6 @@ from .polyphase import IDENTITY, haar_bank
 from .formats import parse_bank, parse_cascade, print_bank, print_cascade
 from .transform import (apply_analysis, apply_synthesis, reversible_analysis,
                         reversible_synthesis, verify_pr)
-
-PRECONDITION_ERRORS = (NotUnimodular, NotWSDelayMinimized, NotHSConcentric,
-                       NotIrreducible, NotAdmissible, NotDyadic,
-                       NonIntegerInput, BaseNotIdentity, DCZero,
-                       FactorizationStuck)
 
 
 def _read(path: str) -> str:
@@ -271,7 +264,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except PRECONDITION_ERRORS as exc:
+    except LiftbankError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (DCZero, FactorizationStuck, NotHSConcentric,
                      NotIrreducible, NotUnimodular, NotWSDelayMinimized)
-from .glstructure import S_H, S_W, GroupLiftingStructure
+from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
 from .laurent import ZERO, LaurentPoly
 from .lifting import (LiftingCascade, LiftingStep, normalize_semidirect,
                       scaling_matrix)
@@ -177,8 +177,7 @@ def factor_hs(h: PolyphaseMatrix, normalize_dc: bool = False) -> LiftingCascade:
 
     e, peeled = _peel(S_H, h, cls)
     base = make_bank(e[0], e[1])
-    cls = classify_bank(base)
-    if not (base.is_unimodular and cls.kind == "HS_CONCENTRIC" and cls.equal_length_base):
+    if not base_admissible(S_H, base):
         raise FactorizationStuck("terminal bank is not an equal-length HS base")
     out = LiftingCascade(Fraction(1), tuple(reversed(peeled)), base)
     if normalize_dc:

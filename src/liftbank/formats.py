@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DuplicateTap, ParseError, ZeroTap
-from .laurent import LaurentPoly, _fmt_fraction, _int_str, _str_int
+from .laurent import LaurentPoly, _fmt_fraction, _str_int
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 

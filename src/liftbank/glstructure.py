@@ -9,46 +9,20 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import NotAdmissible, NotIrreducible
-from .laurent import LaurentPoly, is_dyadic
+from .laurent import LaurentPoly, SymmetryTag
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix
-
-# Lifting filter group kinds.
-HS_PLUS = "HS_ABOUT_PLUS_HALF"     # symmetric about +1/2 (upper WS steps)
-HS_MINUS = "HS_ABOUT_MINUS_HALF"   # symmetric about -1/2 (lower WS steps)
-WA_ZERO = "WA_ABOUT_ZERO"          # antisymmetric about 0 (HS steps)
-UNRESTRICTED = "UNRESTRICTED"
-
-# Base bank classes.
-IDENTITY_ONLY = "IDENTITY_ONLY"
-HS_EQUAL_LENGTH_CONCENTRIC = "HS_EQUAL_LENGTH_CONCENTRIC"
-UNRESTRICTED_BASE = "UNRESTRICTED"
-
-# Scaling groups.
-FULL = "FULL"        # all nonzero rational K
-TRIVIAL = "TRIVIAL"  # K = 1 only
 
 
 @dataclass(frozen=True)
 class FilterGroupSpec:
-    """An additive group of Laurent polynomials, named by symmetry kind."""
+    """An additive group of lifting filters: zero and every filter with
+    one linear phase symmetry (kind and axis)."""
 
-    kind: str
-    dyadic_only: bool = False
+    symmetry: SymmetryTag
 
     def member(self, f: LaurentPoly) -> bool:
-        if self.dyadic_only and not f.is_dyadic:
-            return False
-        if self.kind == UNRESTRICTED or f.is_zero():
-            return True
-        tag = f.symmetry()
-        if self.kind == HS_PLUS:
-            return tag.kind == "HS" and tag.axis == Fraction(1, 2)
-        if self.kind == HS_MINUS:
-            return tag.kind == "HS" and tag.axis == Fraction(-1, 2)
-        if self.kind == WA_ZERO:
-            return tag.kind == "WA" and tag.axis == 0
-        raise ValueError(f"unknown filter group kind {self.kind!r}")
+        return f.is_zero() or f.symmetry() == self.symmetry
 
     def basis(self, k: int) -> LaurentPoly:
         """The k-th generator (k >= 1) of the step group, a filter of
@@ -56,73 +30,69 @@ class FilterGroupSpec:
         combinations of the first t generators with a nonzero t-th weight."""
         if k < 1:
             raise ValueError(f"generator index must be >= 1, got {k}")
-        if self.kind == HS_PLUS:
-            return LaurentPoly({k: 1, 1 - k: 1})
-        if self.kind == HS_MINUS:
-            return LaurentPoly({-k: 1, k - 1: 1})
-        if self.kind == WA_ZERO:
-            return LaurentPoly({-k: 1, k: -1})
-        raise ValueError(f"filter group kind {self.kind!r} has no generators")
+        axis = self.symmetry.axis
+        # Integer arithmetic: int(2 * axis) would build a Fraction per call.
+        two_axis = axis.numerator * (2 // axis.denominator)
+        n = (two_axis + 1) // 2 - k
+        return LaurentPoly({n: 1, two_axis - n: -1 if self.symmetry.kind == "WA" else 1})
+
+
+HS_PLUS = FilterGroupSpec(SymmetryTag("HS", Fraction(1, 2)))    # upper WS steps
+HS_MINUS = FilterGroupSpec(SymmetryTag("HS", Fraction(-1, 2)))  # lower WS steps
+WA_ZERO = FilterGroupSpec(SymmetryTag("WA", Fraction(0)))       # HS steps
 
 
 @dataclass(frozen=True)
 class GroupLiftingStructure:
-    """Descriptor (D, U, L, B) selecting scalings, lifting filters, and bases."""
+    """Descriptor (D, U, L, B): the step groups U = upper and L = lower;
+    B is {I}, or with hs_base the unimodular concentric HS banks with
+    equal-length filters and equal polyphase row supports; D is every
+    nonzero rational gain, or with reversible D = {1}, and then the step
+    filters and the base must be dyadic too."""
 
     name: str
-    scaling: str
     upper: FilterGroupSpec
     lower: FilterGroupSpec
-    base_class: str
-    base_dyadic: bool = False
+    hs_base: bool = False
+    reversible: bool = False
 
     def filter_spec(self, m: int) -> FilterGroupSpec:
         return self.upper if m == 0 else self.lower
 
 
-S_W = GroupLiftingStructure("S_W", FULL, FilterGroupSpec(HS_PLUS),
-                            FilterGroupSpec(HS_MINUS), IDENTITY_ONLY)
-S_WR = GroupLiftingStructure("S_Wr", TRIVIAL, FilterGroupSpec(HS_PLUS, True),
-                             FilterGroupSpec(HS_MINUS, True), IDENTITY_ONLY)
-S_H = GroupLiftingStructure("S_H", FULL, FilterGroupSpec(WA_ZERO),
-                            FilterGroupSpec(WA_ZERO), HS_EQUAL_LENGTH_CONCENTRIC)
-S_HR = GroupLiftingStructure("S_Hr", TRIVIAL, FilterGroupSpec(WA_ZERO, True),
-                             FilterGroupSpec(WA_ZERO, True),
-                             HS_EQUAL_LENGTH_CONCENTRIC, base_dyadic=True)
+S_W = GroupLiftingStructure("S_W", HS_PLUS, HS_MINUS)
+S_WR = GroupLiftingStructure("S_Wr", HS_PLUS, HS_MINUS, reversible=True)
+S_H = GroupLiftingStructure("S_H", WA_ZERO, WA_ZERO, hs_base=True)
+S_HR = GroupLiftingStructure("S_Hr", WA_ZERO, WA_ZERO, hs_base=True, reversible=True)
 
 STRUCTURES = {s.name.lower(): s for s in (S_W, S_WR, S_H, S_HR)}
 
 
 def step_admissible(g: GroupLiftingStructure, s: LiftingStep) -> bool:
     """True iff the step's filter lies in the matching triangle's group."""
+    if g.reversible and not s.filter.is_dyadic:
+        return False
     return g.filter_spec(s.m).member(s.filter)
 
 
 def base_admissible(g: GroupLiftingStructure, b: PolyphaseMatrix) -> bool:
-    if g.base_class == IDENTITY_ONLY:
+    if not g.hs_base:
         return b == IDENTITY
-    if g.base_class == HS_EQUAL_LENGTH_CONCENTRIC:
-        if g.base_dyadic and not b.is_dyadic:
-            return False
-        if not b.is_unimodular:
-            return False
-        cls = b.classify()
-        if cls.kind != "HS_CONCENTRIC" or not cls.equal_length_base:
-            return False
-        # Equal polyphase vector supports (the uniqueness hypothesis).
-        return b.row0.support() == b.row1.support()
-    if g.base_class == UNRESTRICTED_BASE:
-        return b.is_unimodular
-    raise ValueError(f"unknown base class {g.base_class!r}")
+    if g.reversible and not b.is_dyadic:
+        return False
+    if not b.is_unimodular:
+        return False
+    cls = b.classify()
+    # Equal polyphase vector supports (the uniqueness hypothesis).
+    return (cls.kind == "HS_CONCENTRIC" and cls.equal_length_base
+            and b.row0.support() == b.row1.support())
 
 
 def cascade_in_structure(g: GroupLiftingStructure, c: LiftingCascade) -> bool:
     """Membership of the cascade in the universe D C B of the structure."""
-    if g.scaling == TRIVIAL and c.scale != 1:
+    if g.reversible and c.scale != 1:
         return False
-    if all(step_admissible(g, s) for s in c.steps):
-        return base_admissible(g, c.base)
-    return False
+    return all(step_admissible(g, s) for s in c.steps) and base_admissible(g, c.base)
 
 
 def check_order_increasing(c: LiftingCascade) -> Tuple[bool, List[int]]:
@@ -201,16 +171,17 @@ def d_invariance_check(g: GroupLiftingStructure, trials: int = 256,
                        seed: int = 0) -> Optional[bool]:
     """Sampled check that gamma_K maps admissible steps to admissible steps.
 
-    Returns None when the structure has trivial scaling (no D action).
+    gamma_K only scales a step filter and each step group is spanned by its
+    generators, so the samples are (channel, generator, K) triples.
+    Returns None for a reversible structure (D = {1}, no action).
     """
-    if g.scaling != FULL:
+    if g.reversible:
         return None
-    from .randgen import rand_admissible_step, rand_nonzero_fraction
-
     rng = random.Random(seed)
     for _ in range(trials):
-        step = rand_admissible_step(rng, g)
-        k = rand_nonzero_fraction(rng)
+        m = rng.randint(0, 1)
+        step = LiftingStep(m, g.filter_spec(m).basis(rng.randint(1, 3)))
+        k = Fraction(rng.choice([1, -1]) * rng.randint(1, 12), rng.randint(1, 12))
         if not step_admissible(g, step.conjugate(k)):
             return False
     return True

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import EmptySupport
+from .errors import EmptySupport, InvalidArgument
 
 Rational = Union[int, Fraction]
 
@@ -66,6 +66,12 @@ def _fmt_fraction(v: Fraction) -> str:
     """`p` or `p/q`, for a rational of any length."""
     num = _int_str(v.numerator)
     return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
+
+
+# Evaluating at z0 != +-1 builds each z0 ** -n exactly, about |n| * bits(z0)
+# bits, so a large index makes the value huge and its computation endless.
+# Evaluations whose powers would pass this many bits are refused instead.
+_EVAL_MAX_BITS = 1 << 20
 
 
 def is_dyadic(q: Rational) -> bool:
@@ -268,6 +274,12 @@ class LaurentPoly:
         z0 = Fraction(z0)
         if not z0:
             raise ZeroDivisionError("cannot evaluate at z = 0")
+        if self._num and abs(z0) != 1:
+            span = max(-min(self._num), max(self._num))
+            bits = span * max(z0.numerator.bit_length(), z0.denominator.bit_length())
+            if bits > _EVAL_MAX_BITS:
+                raise InvalidArgument(f"evaluation at {z0} needs about {bits} bits "
+                                      f"per power, more than {_EVAL_MAX_BITS}")
         total = sum((v * z0 ** (-n) for n, v in self._num.items()), Fraction(0))
         return total / self._den
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import EmptySupport, NotUnimodular
-from .laurent import LaurentPoly, Rational
+from .laurent import LaurentPoly
 
 
 def _hull(polys, what: str) -> Tuple[int, int]:
@@ -36,10 +36,6 @@ class PolyphaseVector:
         """Vector-valued support interval [c, d] (union of the components)."""
         return _hull((self.comp0, self.comp1), "zero polyphase vector")
 
-    def order(self) -> int:
-        c, d = self.support()
-        return d - c
-
     def is_zero(self) -> bool:
         return self.comp0.is_zero() and self.comp1.is_zero()
 
@@ -51,12 +47,6 @@ class PolyphaseVector:
 
     def __add__(self, other: "PolyphaseVector") -> "PolyphaseVector":
         return PolyphaseVector(self.comp0 + other.comp0, self.comp1 + other.comp1)
-
-    def __sub__(self, other: "PolyphaseVector") -> "PolyphaseVector":
-        return PolyphaseVector(self.comp0 - other.comp0, self.comp1 - other.comp1)
-
-    def scale(self, k: Rational) -> "PolyphaseVector":
-        return PolyphaseVector(self.comp0.scale(k), self.comp1.scale(k))
 
     def filtermul(self, s: LaurentPoly) -> "PolyphaseVector":
         return PolyphaseVector(s * self.comp0, s * self.comp1)
@@ -156,19 +146,6 @@ class PolyphaseMatrix:
         e, f, g, h = other.entries()
         return PolyphaseMatrix.from_entries(a * e + b * g, a * f + b * h,
                                             c * e + d * g, c * f + d * h)
-
-    def __add__(self, other: "PolyphaseMatrix") -> "PolyphaseMatrix":
-        return PolyphaseMatrix(self.row0 + other.row0, self.row1 + other.row1)
-
-    def __sub__(self, other: "PolyphaseMatrix") -> "PolyphaseMatrix":
-        return PolyphaseMatrix(self.row0 - other.row0, self.row1 - other.row1)
-
-    def scale(self, k: Rational) -> "PolyphaseMatrix":
-        return PolyphaseMatrix(self.row0.scale(k), self.row1.scale(k))
-
-    def transpose(self) -> "PolyphaseMatrix":
-        a, b, c, d = self.entries()
-        return PolyphaseMatrix.from_entries(a, c, b, d)
 
     def reflect(self) -> "PolyphaseMatrix":
         """Entrywise z -> z^(-1)."""

@@ -11,12 +11,12 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from .glstructure import (FilterGroupSpec, GroupLiftingStructure, HS_MINUS,
-                          HS_PLUS, S_H, S_W, UNRESTRICTED, WA_ZERO)
+from .glstructure import (HS_MINUS, HS_PLUS, S_H, S_W, WA_ZERO, FilterGroupSpec,
+                          GroupLiftingStructure, base_admissible)
 from .laurent import ZERO, LaurentPoly
 from .lifting import GroupWord, LiftingCascade, LiftingStep, reduce_word
 from .linsolve import solve_exact
-from .polyphase import PolyphaseMatrix, PolyphaseVector, analyze_filter
+from .polyphase import PolyphaseMatrix, PolyphaseVector
 
 
 def rand_dyadic(rng: random.Random, max_den_pow: int = 4,
@@ -25,10 +25,6 @@ def rand_dyadic(rng: random.Random, max_den_pow: int = 4,
         num = rng.randint(-8, 8)
         if num or not nonzero:
             return Fraction(num, 2 ** rng.randint(0, max_den_pow))
-
-
-def rand_nonzero_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice([1, -1]) * rng.randint(1, 12), rng.randint(1, 12))
 
 
 def rand_poly(rng: random.Random, lo: int = -3, hi: int = 3,
@@ -55,20 +51,18 @@ def _rand_group_filter(rng: random.Random, spec: FilterGroupSpec,
 def rand_hs_filter(rng: random.Random, axis_num: int, t: Optional[int] = None) -> LaurentPoly:
     """Nonzero HS filter about axis_num/2 (axis_num is +1 or -1) with
     support radius t."""
-    return _rand_group_filter(rng, FilterGroupSpec(HS_PLUS if axis_num > 0 else HS_MINUS), t)
+    return _rand_group_filter(rng, HS_PLUS if axis_num > 0 else HS_MINUS, t)
 
 
 def rand_wa_filter(rng: random.Random, t: Optional[int] = None) -> LaurentPoly:
     """Nonzero WA filter about 0 with support radius t."""
-    return _rand_group_filter(rng, FilterGroupSpec(WA_ZERO), t)
+    return _rand_group_filter(rng, WA_ZERO, t)
 
 
 def rand_admissible_step(rng: random.Random, g: GroupLiftingStructure,
                          m: Optional[int] = None) -> LiftingStep:
     m = rng.randint(0, 1) if m is None else m
-    spec = g.filter_spec(m)
-    f = rand_poly(rng) if spec.kind == UNRESTRICTED else _rand_group_filter(rng, spec)
-    return LiftingStep(m, f)
+    return LiftingStep(m, _rand_group_filter(rng, g.filter_spec(m)))
 
 
 def _alternating_steps(rng: random.Random, g: GroupLiftingStructure,
@@ -129,8 +123,7 @@ def rand_equal_length_hs_base(rng: random.Random,
             continue
         base = PolyphaseMatrix(PolyphaseVector(pp, pp.reflect()),
                                PolyphaseVector(qq, -qq.reflect()))
-        cls = base.classify()
-        if base.is_unimodular and cls.kind == "HS_CONCENTRIC" and cls.equal_length_base:
+        if base_admissible(S_H, base):
             return base
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from liftbank.cli import main
 from liftbank.errors import DuplicateTap, ParseError, ZeroTap
-from liftbank.formats import (_int_str, _str_int, parse_bank, parse_cascade,
-                              print_bank, print_cascade)
-from liftbank.laurent import LaurentPoly
+from liftbank.formats import parse_bank, parse_cascade, print_bank, print_cascade
+from liftbank.laurent import LaurentPoly, _int_str, _str_int
 from liftbank.lifting import LiftingCascade, lower, upper
 from liftbank.polyphase import haar_bank
 from liftbank.randgen import rand_hs_cascade, rand_ws_cascade
@@ -184,6 +183,14 @@ class TestCommands:
         path = self.write(tmp_path, "bad.bank", "h0:\ntap 0 0\nh1:\ntap 0 1\n")
         assert main(["classify", path]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_library_error_exit_code(self, tmp_path, capsys):
+        # A zero base bank has no support: EmptySupport, not a failed check.
+        cpath = self.write(tmp_path, "zero.cas", "step U\ntap 0 1\nbase:\nh0:\nh1:\n")
+        assert main(["verify", cpath, "--order-increasing"]) == 3
+        err = capsys.readouterr().err
+        assert "precondition violation" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/x.bank"]) == 2

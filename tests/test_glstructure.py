@@ -5,12 +5,11 @@ import pytest
 
 from liftbank.errors import NotAdmissible, NotIrreducible
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_HR, S_W, S_WR,
-                                  UNRESTRICTED, WA_ZERO, FilterGroupSpec,
-                                  base_admissible, cascade_in_structure,
+                                  WA_ZERO, base_admissible, cascade_in_structure,
                                   check_order_increasing, d_invariance_check,
                                   step_admissible, ws_radii)
 from liftbank.laurent import LaurentPoly
-from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
+from liftbank.lifting import LiftingCascade, LiftingStep, lower, scaling_matrix, upper
 from liftbank.polyphase import IDENTITY, haar_bank
 from liftbank.randgen import (rand_admissible_step, rand_equal_length_hs_base,
                               rand_hs_cascade, rand_hs_concentric_bank,
@@ -55,16 +54,12 @@ class TestStepAdmissible:
 
 
 class TestGenerators:
-    @pytest.mark.parametrize("kind", [HS_PLUS, HS_MINUS, WA_ZERO])
-    def test_members_of_radius_k(self, kind):
-        for spec in (FilterGroupSpec(kind), FilterGroupSpec(kind, True)):
-            for k in range(1, 7):
-                g = spec.basis(k)
-                assert spec.member(g) and g.supprad() == k
-
-    def test_unrestricted_has_none(self):
-        with pytest.raises(ValueError):
-            FilterGroupSpec(UNRESTRICTED).basis(1)
+    @pytest.mark.parametrize("spec", [HS_PLUS, HS_MINUS, WA_ZERO], ids=[
+        "HS_ABOUT_PLUS_HALF", "HS_ABOUT_MINUS_HALF", "WA_ABOUT_ZERO"])
+    def test_members_of_radius_k(self, spec):
+        for k in range(1, 7):
+            g = spec.basis(k)
+            assert spec.member(g) and g.supprad() == k
 
 
 class TestBaseAdmissible:
@@ -81,6 +76,12 @@ class TestBaseAdmissible:
         lifted = lower(s).matrix() @ haar_bank()
         assert lifted.classify().kind == "HS_CONCENTRIC"
         assert not base_admissible(S_H, lifted)
+
+    def test_reversible_hs_base_is_dyadic(self):
+        assert base_admissible(S_HR, haar_bank())
+        scaled = scaling_matrix(3) @ haar_bank()
+        assert base_admissible(S_H, scaled)
+        assert not base_admissible(S_HR, scaled)
 
     def test_generated_bases(self):
         rng = random.Random(1)
@@ -107,6 +108,11 @@ class TestCascadeMembership:
         c = LiftingCascade(F(2))
         assert not cascade_in_structure(S_WR, c)
         assert cascade_in_structure(S_W, c)
+
+    def test_trivial_scaling_restriction_hs(self):
+        c = LiftingCascade(F(2), (), haar_bank())
+        assert cascade_in_structure(S_H, c)
+        assert not cascade_in_structure(S_HR, c)
 
 
 class TestOrderIncreasing:

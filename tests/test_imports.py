@@ -1,0 +1,42 @@
+"""Import hygiene of the library modules, checked on their syntax trees:
+imports sit at module level, and every imported name is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import liftbank
+
+MODULES = sorted(Path(liftbank.__file__).parent.glob("*.py"))
+
+
+def tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    mod = tree(path)
+    top = {id(node) for node in mod.body}
+    late = [node.lineno for node in ast.walk(mod)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert not late, f"{path.name}: imports below module level at lines {late}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_used(path):
+    mod = tree(path)
+    imported = {}
+    for node in mod.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(mod) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert not unused, f"{path.name}: unused imports {unused}"

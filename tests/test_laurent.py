@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liftbank.errors import EmptySupport
+from liftbank.errors import EmptySupport, InvalidArgument
 from liftbank.laurent import LaurentPoly, is_dyadic
 from liftbank.polyphase import PolyphaseMatrix
 
@@ -97,6 +98,20 @@ class TestEvaluate:
     def test_rejects_zero_point(self):
         with pytest.raises(ZeroDivisionError):
             LaurentPoly.constant(1)(0)
+
+    def test_far_index_at_unit_points(self):
+        f = LaurentPoly({10 ** 12: 3, -10 ** 12 - 1: 1})
+        assert f(1) == 4
+        assert f(-1) == 2
+
+    def test_large_power_within_bound(self):
+        assert LaurentPoly({-1000: 1})(F(2, 3)) == F(2 ** 1000, 3 ** 1000)
+
+    def test_unbounded_power_refused(self):
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidArgument):
+            LaurentPoly({10 ** 12: 1})(F(2, 3))
+        assert time.perf_counter() - t0 < 1
 
 
 class TestReflect:
