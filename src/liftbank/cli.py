@@ -67,11 +67,8 @@ def cmd_classify(args) -> int:
         print(f"equal-length-base {'yes' if cls.equal_length_base else 'no'}")
     for i in (0, 1):
         f = h.scalar_filter(i)
-        if f.is_zero():
-            print(f"h{i} symmetry NONE")
-            continue
-        tag = f.symmetry()
-        if tag.kind == "NONE":
+        tag = f.symmetry() if f else None
+        if tag is None or tag.kind == "NONE":
             print(f"h{i} symmetry NONE")
         else:
             print(f"h{i} symmetry {tag.kind} axis {_fmt_fraction(tag.axis)}")

@@ -22,7 +22,6 @@ from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
 from .laurent import ZERO, LaurentPoly
 from .lifting import (LiftingCascade, LiftingStep, normalize_semidirect,
                       scaling_matrix)
-from .linsolve import solve_exact
 from .polyphase import BankClass, PolyphaseMatrix, classify_bank, make_bank
 
 # ---------------------------------------------------------------------------
@@ -97,10 +96,11 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix,
     order (last-applied first).
 
     Filter i stays centred at its group delay d_i from cls: support [a, b]
-    with a + b = 2 d_i.  The filter m of larger order was lifted last, by
-    s = sum_k u_k g_k over the first t generators of its filter group,
-    where 2 order(g_t) is the order gap.  The weights u solve the exact
-    system that cancels the lifted taps i with |2i - 2 d_m| > order(other).
+    with a + b = 2 d_i.  The filter m of larger order was lifted last, by a
+    step s of its filter group, so its taps i with need = 2i - 2 d_m -
+    order(other) > 0 come from s(z^2) * other alone.  The top such tap fixes
+    the one generator g_k that reaches it (2 order(g_k) = need) and, by one
+    division, its weight; cancelling it exposes the next.
     """
     # Integer centres: Fraction arithmetic here would slow every peel.
     two_d = (int(2 * cls.d0), int(2 * cls.d1))
@@ -117,22 +117,23 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix,
         m = 0 if orders[0] > orders[1] else 1
         lifted, other, small = e[m], e[1 - m], orders[1 - m]
         spec = g.filter_spec(m)
-        gap = orders[m] - small
-        gens = [spec.basis(k) for k in range(1, (gap // 2 + 1) // 2 + 1)]
-        if not gens or 2 * gens[-1].order() != gap:
-            raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
-        cols = [_upsample(gk) * other for gk in gens]
-        a, b = spans[m]
-        idxs = [i for i in range(a, b + 1) if abs(2 * i - two_d[m]) > small]
-        sol = solve_exact([[col.coeff(i) for col in cols] for i in idxs],
-                          [lifted.coeff(i) for i in idxs])
-        if sol is None:
-            raise _stuck(g, m, orders, "singular cancellation system")
-        s = sum((gk.scale(u) for gk, u in zip(gens, sol)), ZERO)
-        new = lifted - _upsample(s) * other
-        if new.is_zero() or new.order() > small:
+        s = ZERO
+        while lifted:
+            i = lifted.support()[1]
+            need = 2 * i - two_d[m] - small
+            if need <= 0:
+                break
+            # need == 1 gives k == 0; generator 1 then fails the check.
+            gk = spec.basis(max(1, (need // 2 + 1) // 2))
+            if 2 * gk.order() != need:
+                raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
+            col = _upsample(gk) * other
+            u = lifted.coeff(i) / col.coeff(i)
+            s = s + gk.scale(u)
+            lifted = lifted - col.scale(u)
+        if lifted.is_zero() or lifted.order() > small:
             raise _stuck(g, m, orders, "peel did not reduce the order")
-        e[m] = new
+        e[m] = lifted
         peeled.append(LiftingStep(m, s))
 
 

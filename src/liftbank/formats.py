@@ -25,14 +25,14 @@ _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 def _parse_fraction(tok: str, line_no: int) -> Fraction:
     m = _RATIONAL.fullmatch(tok)
+    if m is None:
+        raise ParseError(f"bad rational {tok!r}", line=line_no)
+    sign, num, den = m.groups()
     try:
-        if m is None:
-            return Fraction(tok)
-        sign, num, den = m.groups()
         v = Fraction(_str_int(num), _str_int(den) if den else 1)
-        return -v if sign == "-" else v
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise ParseError(f"bad rational {tok!r}", line=line_no) from None
+    return -v if sign == "-" else v
 
 
 def _lines(text: str):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import NotAdmissible, NotIrreducible
+from .errors import InvalidArgument, NotAdmissible, NotIrreducible
 from .laurent import LaurentPoly, SymmetryTag
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix
@@ -173,8 +173,11 @@ def d_invariance_check(g: GroupLiftingStructure, trials: int = 256,
 
     gamma_K only scales a step filter and each step group is spanned by its
     generators, so the samples are (channel, generator, K) triples.
-    Returns None for a reversible structure (D = {1}, no action).
+    Returns None for a reversible structure (D = {1}, no action).  Raises
+    InvalidArgument when trials < 1: no sample is no evidence.
     """
+    if trials < 1:
+        raise InvalidArgument(f"d_invariance_check needs at least one trial, got {trials}")
     if g.reversible:
         return None
     rng = random.Random(seed)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import EmptySupport, NotUnimodular
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, SymmetryTag
 
 
 def _hull(polys, what: str) -> Tuple[int, int]:
@@ -38,12 +38,6 @@ class PolyphaseVector:
 
     def is_zero(self) -> bool:
         return self.comp0.is_zero() and self.comp1.is_zero()
-
-    def reflect(self) -> "PolyphaseVector":
-        return PolyphaseVector(self.comp0.reflect(), self.comp1.reflect())
-
-    def shift(self, k: int) -> "PolyphaseVector":
-        return PolyphaseVector(self.comp0.shift(k), self.comp1.shift(k))
 
     def __add__(self, other: "PolyphaseVector") -> "PolyphaseVector":
         return PolyphaseVector(self.comp0 + other.comp0, self.comp1 + other.comp1)
@@ -147,10 +141,6 @@ class PolyphaseMatrix:
         return PolyphaseMatrix.from_entries(a * e + b * g, a * f + b * h,
                                             c * e + d * g, c * f + d * h)
 
-    def reflect(self) -> "PolyphaseMatrix":
-        """Entrywise z -> z^(-1)."""
-        return PolyphaseMatrix(self.row0.reflect(), self.row1.reflect())
-
     def apply(self, v: PolyphaseVector) -> PolyphaseVector:
         a, b, c, d = self.entries()
         return PolyphaseVector(a * v.comp0 + b * v.comp1, c * v.comp0 + d * v.comp1)
@@ -209,43 +199,34 @@ L = PolyphaseMatrix.from_entries(1, 0, 0, -1)
 IDENTITY = PolyphaseMatrix.identity()
 
 
-def _row_delay(reflected: PolyphaseVector, target: PolyphaseVector) -> Optional[int]:
-    """Find d with reflected = z^d * target, by support alignment."""
-    if target.is_zero() or reflected.is_zero():
-        return None
-    try:
-        (c_r, _), (c_t, _) = reflected.support(), target.support()
-    except EmptySupport:
-        return None
-    # z^d shifts stored indices by -d.
-    d = c_t - c_r
-    return d if target.shift(-d) == reflected else None
+# The filter symmetries (h0, h1) that place a bank in a class.
+_DELAY_MINIMIZED_WS = (SymmetryTag("WS", Fraction(0)), SymmetryTag("WS", Fraction(-1)))
+_CONCENTRIC_HS = (SymmetryTag("HS", Fraction(-1, 2)), SymmetryTag("HA", Fraction(-1, 2)))
 
 
 def classify_bank(h: PolyphaseMatrix) -> BankClass:
-    """Most specific WS/HS classification of an analysis bank.
+    """Most specific WS/HS classification of an analysis bank, read from
+    the linear phase symmetries of its two scalar filters; a zero filter
+    fits every symmetry.
 
-    Checks, in order: the delay-minimized WS intertwining relation, the
-    general WS relation with free group delays, the concentric HS mirror
-    relation, then falls back on the determinant.
+    Checks, in order: delay-minimized WS (h0 WS about 0, h1 WS about -1),
+    general WS (both filters nonzero and WS; the group delays are their
+    axes), concentric HS (h0 HS and h1 HA, both about -1/2), then falls
+    back on the determinant.
     """
-    href = h.reflect()
-    # Delay-minimized WS: H(1/z) = Lambda(z) H(z) Lambda(1/z).
-    if href == LAMBDA @ h @ LAMBDA_INV:
-        return BankClass("WS_DELAY_MINIMIZED", d0=Fraction(0), d1=Fraction(-1))
-    # General WS: H(1/z) = diag(z^d0, z^d1) H(z) Lambda(1/z), rowwise.
-    hl = h @ LAMBDA_INV
-    d0 = _row_delay(href.row0, hl.row0)
-    d1 = _row_delay(href.row1, hl.row1)
-    if d0 is not None and d1 is not None:
-        return BankClass("WS_GENERAL", d0=Fraction(d0), d1=Fraction(d1))
-    # Concentric HS: H(1/z) = L H(z) J.
-    if href == L @ h @ J:
-        equal = False
-        f0, f1 = h.scalar_filter(0), h.scalar_filter(1)
-        if f0 and f1 and f0.order() == f1.order():
-            equal = True
-        return BankClass("HS_CONCENTRIC", d0=Fraction(-1, 2), d1=Fraction(-1, 2),
+    f0, f1 = h.scalar_filter(0), h.scalar_filter(1)
+    tags = [f.symmetry() if f else None for f in (f0, f1)]
+
+    def fits(want) -> bool:
+        return all(t is None or t == w for t, w in zip(tags, want))
+
+    if fits(_DELAY_MINIMIZED_WS):
+        return BankClass("WS_DELAY_MINIMIZED", *(w.axis for w in _DELAY_MINIMIZED_WS))
+    if all(t is not None and t.kind == "WS" for t in tags):
+        return BankClass("WS_GENERAL", *(t.axis for t in tags))
+    if fits(_CONCENTRIC_HS):
+        equal = bool(f0 and f1) and f0.order() == f1.order()
+        return BankClass("HS_CONCENTRIC", *(w.axis for w in _CONCENTRIC_HS),
                          equal_length_base=equal)
     if h.det_info().monomial:
         return BankClass("OTHER_PR")

@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftbank.cli import main
 from liftbank.errors import DuplicateTap, ParseError, ZeroTap
@@ -53,21 +56,20 @@ class TestBankFormat:
         canonical = print_bank(haar_bank(), name="haar")
         assert print_bank(parse_bank(canonical), name="haar") == canonical
 
-    def test_random_round_trips(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            h = rand_hs_cascade(rng).product()
-            assert parse_bank(print_bank(h)) == h
+    @given(st.integers(0, 2 ** 32))
+    def test_random_round_trips(self, seed):
+        h = rand_hs_cascade(random.Random(seed)).product()
+        assert parse_bank(print_bank(h)) == h
 
 
 class TestCascadeFormat:
-    def test_round_trips(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            c = rand_ws_cascade(rng) if rng.random() < 0.5 else rand_hs_cascade(rng)
-            text = print_cascade(c)
-            assert parse_cascade(text) == c
-            assert print_cascade(parse_cascade(text)) == text
+    @given(st.integers(0, 2 ** 32))
+    def test_round_trips(self, seed):
+        rng = random.Random(seed)
+        c = rand_ws_cascade(rng) if rng.random() < 0.5 else rand_hs_cascade(rng)
+        text = print_cascade(c)
+        assert parse_cascade(text) == c
+        assert print_cascade(parse_cascade(text)) == text
 
     def test_scale_must_lead(self):
         with pytest.raises(ParseError):
@@ -94,6 +96,22 @@ class TestCascadeFormat:
 def test_keywords_match_whole_token(parse, text, line):
     with pytest.raises(ParseError) as e:
         parse(text)
+    assert e.value.line == line
+
+
+# Numbers are `p` or `p/q` in decimal digits.  Exponents, decimals and
+# digit separators are refused at once: `1e10000000` would otherwise build
+# a ten-million-digit integer.
+@pytest.mark.parametrize("tok", ["1e10000000", "0.5", "1_0"])
+@pytest.mark.parametrize("parse, template, line", [
+    (parse_bank, "h0:\ntap 0 {}\nh1:\ntap 0 1\n", 2),
+    (parse_cascade, "scale {}\nstep U\ntap 0 1\n", 1),
+])
+def test_numbers_are_p_or_p_over_q(parse, template, line, tok):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bad rational") as e:
+        parse(template.format(tok))
+    assert time.perf_counter() - start < 1
     assert e.value.line == line
 
 
@@ -128,6 +146,12 @@ class TestCommands:
         assert main(["classify", path]) == 0
         out = capsys.readouterr().out
         assert "HS_CONCENTRIC" in out and "HA axis -1/2" in out
+
+    def test_classify_zero_and_asymmetric_filters(self, tmp_path, capsys):
+        path = self.write(tmp_path, "odd.bank", "h0:\nh1:\ntap 0 1\ntap 1 2\n")
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out == ("class NON_PR\ndet non-monomial\n"
+                                           "h0 symmetry NONE\nh1 symmetry NONE\n")
 
     def test_factor_ws_precondition(self, tmp_path):
         path = self.write(tmp_path, "haar.bank", HAAR_BANK)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from liftbank.errors import (DCZero, NotHSConcentric, NotIrreducible,
 from liftbank.factor import (dc_normalize, equivalent_mod_rescaling,
                              factor_euclidean, factor_hs, factor_ws,
                              laurent_divmod)
-from liftbank.glstructure import S_H, S_W, cascade_in_structure, check_order_increasing
+from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_W, WA_ZERO,
+                                  cascade_in_structure, check_order_increasing)
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import (LiftingCascade, lower, normalize_semidirect,
                               scaling_matrix, upper)
@@ -175,6 +177,28 @@ class TestFactorHS:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
             factor_hs(PolyphaseMatrix.from_entries(1, 1, 1, 1))
+
+
+class TestWideSteps:
+    """A step of support radius 10^6 is read off from its outer taps: the
+    peel's cost follows the taps, not the order gap."""
+
+    RADIUS = 10 ** 6
+
+    def check(self, factor, c):
+        h = c.product()
+        start = time.perf_counter()
+        assert factor(h) == c
+        assert time.perf_counter() - start < 1
+
+    def test_ws(self):
+        self.check(factor_ws, LiftingCascade(F(1), (
+            lower(HS_MINUS.basis(1)), upper(HS_PLUS.basis(self.RADIUS).scale(F(1, 3))))))
+
+    def test_hs_over_haar(self):
+        self.check(factor_hs, LiftingCascade(F(1), (
+            lower(WA_ZERO.basis(1)), upper(WA_ZERO.basis(self.RADIUS).scale(F(2, 5)))),
+            haar_bank()))
 
 
 class TestFactorEuclidean:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftbank.errors import NotAdmissible, NotIrreducible
+from liftbank.errors import InvalidArgument, NotAdmissible, NotIrreducible
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_HR, S_W, S_WR,
                                   WA_ZERO, base_admissible, cascade_in_structure,
                                   check_order_increasing, d_invariance_check,
@@ -183,6 +183,12 @@ class TestDInvariance:
     def test_trivial_scaling_inapplicable(self):
         assert d_invariance_check(S_WR) is None
         assert d_invariance_check(S_HR) is None
+
+    def test_no_trials_is_no_evidence(self):
+        with pytest.raises(InvalidArgument):
+            d_invariance_check(S_W, trials=0)
+        with pytest.raises(InvalidArgument):
+            d_invariance_check(S_H, trials=-5)
 
 
 class TestRightLiftObstruction:

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftbank.errors import NotUnimodular
 from liftbank.laurent import LaurentPoly
-from liftbank.polyphase import (IDENTITY, J, L, LAMBDA, LAMBDA_INV,
+from liftbank.polyphase import (IDENTITY, J, L, LAMBDA, LAMBDA_INV, BankClass,
                                 PolyphaseMatrix, PolyphaseVector,
                                 analyze_filter, classify_bank, haar_bank,
                                 make_bank, merge_signal, split_signal,
                                 synthesize_filter)
+from liftbank.randgen import (rand_hs_cascade, rand_hs_concentric_bank,
+                              rand_ws_cascade)
 
 F = Fraction
 
@@ -173,6 +177,87 @@ class TestClassify:
     def test_non_pr(self):
         assert classify_bank(
             PolyphaseMatrix.from_entries(1, 1, 1, 1)).kind == "NON_PR"
+
+
+def reflect(h):
+    """Entrywise z -> z^(-1)."""
+    return PolyphaseMatrix.from_entries(*(e.reflect() for e in h.entries()))
+
+
+def row_delay(reflected, target):
+    """d with reflected = z^d * target (rowwise), by support alignment."""
+    if reflected.is_zero() or target.is_zero():
+        return None
+    d = target.support()[0] - reflected.support()[0]
+    shifted = (target.comp0.shift(-d), target.comp1.shift(-d))
+    return d if shifted == (reflected.comp0, reflected.comp1) else None
+
+
+def relation_classify(h):
+    """Reference classifier from the polyphase intertwining relations,
+    which classify_bank reads off the filter symmetries instead."""
+    href = reflect(h)
+    # Delay-minimized WS: H(1/z) = Lambda(z) H(z) Lambda(1/z).
+    if href == LAMBDA @ h @ LAMBDA_INV:
+        return BankClass("WS_DELAY_MINIMIZED", F(0), F(-1))
+    # General WS: H(1/z) = diag(z^d0, z^d1) H(z) Lambda(1/z), rowwise.
+    hl = h @ LAMBDA_INV
+    d0, d1 = (row_delay(href.row(i), hl.row(i)) for i in (0, 1))
+    if d0 is not None and d1 is not None:
+        return BankClass("WS_GENERAL", F(d0), F(d1))
+    # Concentric HS: H(1/z) = L H(z) J.
+    if href == L @ h @ J:
+        f0, f1 = h.scalar_filter(0), h.scalar_filter(1)
+        return BankClass("HS_CONCENTRIC", F(-1, 2), F(-1, 2),
+                         bool(f0 and f1) and f0.order() == f1.order())
+    return BankClass("OTHER_PR" if h.det_info().monomial else "NON_PR")
+
+
+def linear_phase_poly(rng):
+    """A random WS, HS, WA or HA filter about a random axis."""
+    p = rand_poly(rng, 0, rng.randint(0, 3))
+    return p + p.reflect().shift(rng.randint(-4, 4)).scale(rng.choice([1, -1]))
+
+
+def drawn_bank(rng):
+    """A WS or HS product, a linear phase or random bank, with its rows
+    then perhaps shifted, zeroed, replaced or swapped."""
+    h = rng.choice([lambda: rand_ws_cascade(rng).product(),
+                    lambda: rand_hs_cascade(rng).product(),
+                    lambda: rand_hs_concentric_bank(rng),
+                    lambda: make_bank(linear_phase_poly(rng), linear_phase_poly(rng)),
+                    lambda: rand_matrix(rng)])()
+    f = [h.scalar_filter(0), h.scalar_filter(1)]
+    for i in (0, 1):
+        f[i] = rng.choice([lambda g: g, lambda g: g,
+                           lambda g: g.shift(rng.randint(-3, 3)),
+                           lambda g: LaurentPoly.zero(),
+                           lambda g: rand_poly(rng)])(f[i])
+    if rng.random() < 0.2:
+        f.reverse()
+    return make_bank(*f)
+
+
+class TestClassifyMatchesRelations:
+    @pytest.mark.parametrize("h, kind", [
+        (IDENTITY, "WS_DELAY_MINIMIZED"),
+        (legall_bank(), "WS_DELAY_MINIMIZED"),
+        (make_bank(legall_bank().scalar_filter(0).shift(2),
+                   legall_bank().scalar_filter(1).shift(-3)), "WS_GENERAL"),
+        (haar_bank(), "HS_CONCENTRIC"),
+        (make_bank(LaurentPoly.zero(), haar_bank().scalar_filter(1)), "HS_CONCENTRIC"),
+        (make_bank(haar_bank().scalar_filter(0).shift(2),
+                   haar_bank().scalar_filter(1)), "OTHER_PR"),
+        (PolyphaseMatrix.from_entries(1, 1, 1, 1), "NON_PR"),
+    ])
+    def test_examples(self, h, kind):
+        assert classify_bank(h) == relation_classify(h)
+        assert classify_bank(h).kind == kind
+
+    @given(st.integers(0, 2 ** 32))
+    def test_drawn_banks(self, seed):
+        h = drawn_bank(random.Random(seed))
+        assert classify_bank(h) == relation_classify(h)
 
 
 class TestGroupClosure:

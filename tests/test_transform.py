@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftbank.errors import InvalidArgument, NonIntegerInput, NotDyadic
 from liftbank.laurent import LaurentPoly
@@ -95,13 +97,13 @@ class TestReversible:
         assert reversible_synthesis(LiftingCascade(),
                                     reversible_analysis(LiftingCascade(), x)) == x
 
-    def test_random_round_trips(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            c = rand_dyadic_ws_cascade(rng)
-            x = rand_int_signal(rng, 128)
-            y = reversible_analysis(c, x)
-            assert reversible_synthesis(c, y) == {k: v for k, v in x.items() if v}
+    @given(st.integers(0, 2 ** 32))
+    def test_random_round_trips(self, seed):
+        rng = random.Random(seed)
+        c = rand_dyadic_ws_cascade(rng)
+        x = rand_int_signal(rng, 128)
+        y = reversible_analysis(c, x)
+        assert reversible_synthesis(c, y) == {k: v for k, v in x.items() if v}
 
     def test_rounded_updates_within_one(self):
         # each rounded update stays strictly within 1 of the exact update;
