@@ -93,30 +93,30 @@ def cmd_product(args) -> int:
     return 0
 
 
+def _print_order_increasing(c: LiftingCascade) -> bool:
+    inc, orders = check_order_increasing(c)
+    print(f"order-increasing {'yes' if inc else 'no'} "
+          f"orders {' '.join(str(o) for o in orders)}")
+    return inc
+
+
 def cmd_verify(args) -> int:
+    if not (args.order_increasing or args.structure or args.pr):
+        args.usage_error("name a check: --order-increasing, --structure or --pr")
     c = _load_cascade(args.cascade)
-    requested = False
     ok = True
     if args.order_increasing:
-        requested = True
-        inc, orders = check_order_increasing(c)
-        print(f"order-increasing {'yes' if inc else 'no'} "
-              f"orders {' '.join(str(o) for o in orders)}")
-        ok = ok and inc
+        ok = _print_order_increasing(c)
     if args.structure:
-        requested = True
         g = S_W if args.structure == "ws" else S_H
         member = cascade_in_structure(g, c)
         print(f"structure {args.structure} {'yes' if member else 'no'}")
         ok = ok and member
     if args.pr:
-        requested = True
         report = verify_pr(c, trials=args.trials, seed=args.seed)
         print(f"perfect-reconstruction {'yes' if report.ok else 'no'} "
               f"trials {report.trials}")
         ok = ok and report.ok
-    if not requested:
-        print("no checks requested; cascade parsed", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -195,9 +195,7 @@ def cmd_demo(args) -> int:
     sys.stdout.write(print_cascade(c))
     good = c.product() == IDENTITY
     print(f"product is identity: {'yes' if good else 'no'}")
-    inc, orders = check_order_increasing(c)
-    print(f"order-increasing {'yes' if inc else 'no'} "
-          f"orders {' '.join(str(o) for o in orders)}")
+    _print_order_increasing(c)
     return 0 if good else 1
 
 
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--pr", action="store_true")
     q.add_argument("--trials", type=positive_int, default=32)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=cmd_verify)
+    q.set_defaults(func=cmd_verify, usage_error=q.error)
 
     q = sub.add_parser("equiv", help="test equivalence modulo rescaling")
     q.add_argument("cascade1")

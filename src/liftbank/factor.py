@@ -20,8 +20,8 @@ from .errors import (DCZero, FactorizationStuck, NotHSConcentric,
                      NotIrreducible, NotUnimodular, NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
 from .laurent import ZERO, LaurentPoly
-from .lifting import (LiftingCascade, LiftingStep, normalize_semidirect,
-                      scaling_matrix)
+from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _ladder,
+                      normalize_semidirect, scaling_matrix)
 from .polyphase import BankClass, PolyphaseMatrix, classify_bank, make_bank
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
         return rows[i].comp0 if j == 0 else rows[i].comp1
 
     def apply_step(i: int, filt: LaurentPoly):
-        rows[i] = rows[i] + rows[1 - i].filtermul(filt)
         ops.append(LiftingStep(i, filt))
+        _ladder(ops[-1:], rows, _exact_lift)
 
     while e(0, col) and e(1, col):
         q, _ = laurent_divmod(e(target, col), e(1 - target, col))

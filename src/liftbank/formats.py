@@ -21,6 +21,7 @@ from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_INDEX = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_fraction(tok: str, line_no: int) -> Fraction:
@@ -47,8 +48,8 @@ def _parse_tap(line: str, line_no: int, taps: dict):
     if len(parts) != 3:
         raise ParseError("tap line must be `tap <n> <p>[/<q>]`", line=line_no)
     try:
-        n = int(parts[1])
-    except ValueError:
+        n = int(_INDEX.fullmatch(parts[1])[0])
+    except (TypeError, ValueError):  # no match, or past CPython's int/str digit limit
         raise ParseError(f"bad tap index {parts[1]!r}", line=line_no) from None
     v = _parse_fraction(parts[2], line_no)
     if n in taps:

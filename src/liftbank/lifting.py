@@ -68,6 +68,30 @@ def gamma_conjugate(k: Rational, m: PolyphaseMatrix) -> PolyphaseMatrix:
     return PolyphaseMatrix.from_entries(a, b.scale(1 / k ** 2), c.scale(k ** 2), d)
 
 
+def _ladder(steps: Iterable[LiftingStep], y: list, lift, sign: int = 1) -> list:
+    """The one way a cascade is applied, to signal channels and to matrix
+    rows alike: run steps, in the order given, on the pair y = [y0, y1]
+    and return it.  Step (m, S) sets y[m] = lift(y[m], S, y[1 - m], sign);
+    on matrix rows that is the product with the step's matrix, which adds
+    S times row 1 - m to row m.  A cascade runs forward as
+    _ladder(c.steps, y, lift) and is undone step by step as
+    _ladder(reversed(c.steps), y, lift, -1)."""
+    for s in steps:
+        y[s.m] = lift(y[s.m], s.filter, y[1 - s.m], sign)
+    return y
+
+
+def _exact_lift(dst, filt: LaurentPoly, src, sign: int):
+    """dst + sign * src * S, exactly; dst and src are both LaurentPoly
+    channels or both PolyphaseVector rows."""
+    return dst + src * (filt if sign > 0 else -filt)
+
+
+def _gain(k: Fraction, y: list) -> list:
+    """D_K applied to the pair y = [y0, y1]: [y0 / K, y1 * K]."""
+    return y if k == 1 else [y[0] * (1 / k), y[1] * k]
+
+
 @dataclass(frozen=True)
 class LiftingCascade:
     """Scale * steps * base decomposition D_K S_{N-1} ... S_0 B."""
@@ -98,16 +122,17 @@ class LiftingCascade:
                 and self.base.is_dyadic)
 
     def product(self) -> PolyphaseMatrix:
-        """Exact matrix product D_K * S_{N-1} ... S_0 * B."""
-        acc = self.intermediates()[-1]
-        return acc if self.scale == 1 else scaling_matrix(self.scale) @ acc
+        """Exact product D_K * S_{N-1} ... S_0 * B: the analysis ladder and
+        gain run on the base's rows."""
+        rows = _ladder(self.steps, [self.base.row0, self.base.row1], _exact_lift)
+        return PolyphaseMatrix(*_gain(self.scale, rows))
 
     def intermediates(self) -> List[PolyphaseMatrix]:
-        """Partial products E^(-1) = B, E^(n) = S_n E^(n-1), unscaled."""
-        out = [self.base]
-        for s in self.steps:
-            out.append(s.matrix() @ out[-1])
-        return out
+        """Partial products E^(-1) = B, E^(n) = S_n E^(n-1), unscaled: the
+        same ladder, one step at a time."""
+        rows = [self.base.row0, self.base.row1]
+        return [self.base] + [PolyphaseMatrix(*_ladder((s,), rows, _exact_lift))
+                              for s in self.steps]
 
 
 def _merge(steps: Iterable[LiftingStep]) -> Tuple[LiftingStep, ...]:

@@ -42,8 +42,9 @@ class PolyphaseVector:
     def __add__(self, other: "PolyphaseVector") -> "PolyphaseVector":
         return PolyphaseVector(self.comp0 + other.comp0, self.comp1 + other.comp1)
 
-    def filtermul(self, s: LaurentPoly) -> "PolyphaseVector":
-        return PolyphaseVector(s * self.comp0, s * self.comp1)
+    def __mul__(self, s) -> "PolyphaseVector":
+        """Both components times s, a LaurentPoly or a rational."""
+        return PolyphaseVector(self.comp0 * s, self.comp1 * s)
 
 
 def analyze_filter(f: LaurentPoly) -> PolyphaseVector:

@@ -14,49 +14,24 @@ from typing import Dict, Mapping, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
 from .laurent import LaurentPoly
-from .lifting import LiftingCascade
+from .lifting import LiftingCascade, _exact_lift, _gain, _ladder
 from .polyphase import IDENTITY, PolyphaseVector, merge_signal, split_signal
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 
 
-def _ladder(c: LiftingCascade, y: list, lift, inverse: bool = False) -> list:
-    """Run the lifting steps of c on the channel pair y = [y0, y1] and
-    return it.  Step (m, S) sets y[m] = lift(y[m], S, y[1 - m], sign):
-    forward, first step to last with sign +1; inverse, last step to first
-    with sign -1, which undoes each step exactly."""
-    sign = -1 if inverse else 1
-    for s in (reversed(c.steps) if inverse else c.steps):
-        y[s.m] = lift(y[s.m], s.filter, y[1 - s.m], sign)
-    return y
-
-
-def _exact_lift(dst: LaurentPoly, filt: LaurentPoly, src: LaurentPoly,
-                sign: int) -> LaurentPoly:
-    return dst + filt * src if sign > 0 else dst - filt * src
-
-
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
-    """Polyphase split followed by base, steps, then gain scaling.
-
-    Exactly equal to multiplying the split signal by c.product().
-    """
-    x0, x1 = split_signal(x)
-    v = c.base.apply(PolyphaseVector(x0, x1))
-    y0, y1 = _ladder(c, [v.comp0, v.comp1], _exact_lift)
-    if c.scale != 1:
-        y0 = y0.scale(1 / c.scale)
-        y1 = y1.scale(c.scale)
+    """Polyphase split, then base, steps and gain: the ladder c.product()
+    runs on the base's rows, so the result is exactly c.product() applied
+    to the split signal, by construction."""
+    v = c.base.apply(PolyphaseVector(*split_signal(x)))
+    y0, y1 = _gain(c.scale, _ladder(c.steps, [v.comp0, v.comp1], _exact_lift))
     return y0, y1
 
 
 def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
     """Exact inverse ladder; requires a unimodular base."""
-    y0, y1 = y
-    if c.scale != 1:
-        y0 = y0.scale(c.scale)
-        y1 = y1.scale(1 / c.scale)
-    y0, y1 = _ladder(c, [y0, y1], _exact_lift, inverse=True)
+    y0, y1 = _ladder(reversed(c.steps), _gain(1 / c.scale, list(y)), _exact_lift, -1)
     v = c.base.inverse().apply(PolyphaseVector(y0, y1))
     return merge_signal(v.comp0, v.comp1)
 
@@ -125,14 +100,14 @@ def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPai
     _check_reversible(c)
     if any(int(v) != v for v in x.values()):
         raise NonIntegerInput("reversible mode requires integer samples")
-    y0, y1 = _ladder(c, list(_int_split(x)), _rounded_lift)
+    y0, y1 = _ladder(c.steps, list(_int_split(x)), _rounded_lift)
     return y0, y1
 
 
 def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
     """Bit-exact inverse of reversible_analysis."""
     _check_reversible(c)
-    y0, y1 = _ladder(c, [dict(y[0]), dict(y[1])], _rounded_lift, inverse=True)
+    y0, y1 = _ladder(reversed(c.steps), [dict(y[0]), dict(y[1])], _rounded_lift, -1)
     return _int_merge(y0, y1)
 
 

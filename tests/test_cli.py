@@ -115,6 +115,24 @@ def test_numbers_are_p_or_p_over_q(parse, template, line, tok):
     assert e.value.line == line
 
 
+# Tap indices follow the same digit rule: `[+-]?[0-9]+` and nothing else,
+# so no digit separator, Arabic-Indic 3 or fullwidth 1.
+@pytest.mark.parametrize("tok", ["1_0", "\u0663", "\uff11"])
+@pytest.mark.parametrize("parse, template, line", [
+    (parse_bank, "h0:\ntap {} 1\nh1:\ntap 0 1\n", 2),
+    (parse_cascade, "step U\ntap 0 1\nbase:\nh0:\ntap {} 1\nh1:\ntap 0 1\n", 5),
+])
+def test_tap_indices_are_ascii_integers(parse, template, line, tok):
+    with pytest.raises(ParseError, match="bad tap index") as e:
+        parse(template.format(tok))
+    assert e.value.line == line
+
+
+def test_signed_and_padded_tap_indices():
+    h0 = parse_bank("h0:\ntap +3 1\ntap -2 1\ntap 007 1\nh1:\ntap 0 1\n").scalar_filter(0)
+    assert h0 == LaurentPoly({3: 1, -2: 1, 7: 1})
+
+
 class TestHugeRationals:
     """Integers past CPython's default 4,300-digit int/str limit."""
 
@@ -202,6 +220,16 @@ class TestCommands:
         assert e.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "must be at least 1" in err
+
+    def test_verify_without_a_check_is_a_usage_error(self, tmp_path, capsys):
+        cpath = self.write(tmp_path, "lazy.cas", "step U\ntap 0 1\n")
+        with pytest.raises(SystemExit) as e:
+            main(["verify", cpath])
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        message = err.splitlines()[-1]   # the line after the usage text
+        assert out == "" and message.startswith("liftbank verify: error:")
+        assert all(flag in message for flag in ("--order-increasing", "--structure", "--pr"))
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, "bad.bank", "h0:\ntap 0 0\nh1:\ntap 0 1\n")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftbank.errors import BaseNotIdentity, NotIrreducible
 from liftbank.laurent import LaurentPoly
@@ -68,6 +70,30 @@ class TestCascadeProduct:
         inter = identity_cascade().intermediates()
         assert len(inter) == 9
         assert inter[-1] == IDENTITY
+
+
+# Cascades drawn freely: either characteristic at each step (so
+# same-characteristic neighbours occur), zero filters, any nonzero gain and
+# any base, singular ones included.
+_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+_polys = st.dictionaries(st.integers(-3, 3), _rationals, max_size=4).map(LaurentPoly)
+_steps = st.builds(LiftingStep, st.integers(0, 1), _polys)
+_gains = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+_bases = st.builds(PolyphaseMatrix.from_entries, _polys, _polys, _polys, _polys)
+_cascades = st.builds(LiftingCascade, _gains, st.lists(_steps, max_size=8), _bases)
+
+
+class TestLadderMatchesMatmul:
+    """product() and intermediates() run the row ladder; the 2x2 matrix
+    product of the step matrices is the independent reference."""
+
+    @given(_cascades)
+    def test_product_and_partial_products(self, c):
+        partial = [c.base]
+        for s in c.steps:
+            partial.append(s.matrix() @ partial[-1])
+        assert c.intermediates() == partial
+        assert c.product() == scaling_matrix(c.scale) @ partial[-1]
 
 
 class TestReduce:
@@ -146,24 +172,26 @@ class TestNormalizeSemidirect:
         out = normalize_semidirect([F(5), upper(s)])
         assert out.scale == 5 and out.steps == (upper(s),)
 
-    def test_preserves_product_and_idempotent(self):
-        rng = random.Random(9)
-        for _ in range(40):
-            word = []
-            ref = IDENTITY
-            for _ in range(rng.randint(0, 7)):
-                if rng.random() < 0.3:
-                    k = F(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 5))
-                    word.append(k)
-                    ref = ref @ scaling_matrix(k)
-                else:
-                    s = LiftingStep(rng.randint(0, 1), rand_poly(rng, -1, 1))
-                    word.append(s)
-                    ref = ref @ s.matrix()
-            out = normalize_semidirect(word)
-            assert out.product() == ref
-            again = normalize_semidirect([out.scale] + [s for s in reversed(out.steps)])
-            assert again == out
+    @given(st.integers(0, 2 ** 32))
+    def test_preserves_product_and_idempotent(self, seed):
+        # A mixed word of steps and gains against the @ product of its factors.
+        rng = random.Random(seed)
+        word = []
+        ref = IDENTITY
+        for _ in range(rng.randint(0, 7)):
+            if rng.random() < 0.3:
+                k = F(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 5))
+                word.append(k)
+                ref = ref @ scaling_matrix(k)
+            else:
+                s = LiftingStep(rng.randint(0, 1), rand_poly(rng, -1, 1))
+                word.append(s)
+                ref = ref @ s.matrix()
+        out = normalize_semidirect(word)
+        assert out.is_irreducible
+        assert out.product() == ref
+        again = normalize_semidirect([out.scale] + [s for s in reversed(out.steps)])
+        assert again == out
 
 
 class TestInvert:
@@ -194,11 +222,18 @@ class TestWords:
         with pytest.raises(NotIrreducible):
             GroupWord((upper(LaurentPoly.zero()),))
 
-    def test_inverse_cancels(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            w = rand_word(rng)
-            assert word_concat(w, w.inverse()).is_empty()
+    @given(st.integers(0, 2 ** 32))
+    def test_inverse_cancels(self, seed):
+        w = rand_word(random.Random(seed))
+        assert word_concat(w, w.inverse()).is_empty()
+        assert word_concat(w.inverse(), w).is_empty()
+        assert w.inverse().matrix() @ w.matrix() == IDENTITY
+
+    @given(st.integers(0, 2 ** 32))
+    def test_identity(self, seed):
+        w, e = rand_word(random.Random(seed)), GroupWord()
+        assert word_concat(w, e) == w == word_concat(e, w)
+        assert e.matrix() == IDENTITY
 
     def test_same_alphabet_merge(self):
         s, t = LaurentPoly({0: 1}), LaurentPoly({1: 2})
@@ -216,13 +251,13 @@ class TestWords:
         assert w.matrix() == w1.matrix() @ w2.matrix()
         assert word_concat(w1, GroupWord((lower(-t), upper(-s)))).is_empty()
 
-    def test_associativity_and_homomorphism(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            w1, w2, w3 = rand_word(rng), rand_word(rng), rand_word(rng)
-            assert word_concat(word_concat(w1, w2), w3) == \
-                word_concat(w1, word_concat(w2, w3))
-            assert word_concat(w1, w2).matrix() == w1.matrix() @ w2.matrix()
+    @given(st.integers(0, 2 ** 32))
+    def test_associativity_and_homomorphism(self, seed):
+        rng = random.Random(seed)
+        w1, w2, w3 = rand_word(rng), rand_word(rng), rand_word(rng)
+        assert word_concat(word_concat(w1, w2), w3) == \
+            word_concat(w1, word_concat(w2, w3))
+        assert word_concat(w1, w2).matrix() == w1.matrix() @ w2.matrix()
 
     def test_cascade_view_round_trip(self):
         rng = random.Random(13)
