@@ -6,23 +6,23 @@ delay-minimized WS bank down to a gain scaling; factor_hs peels the
 whole-sample antisymmetric steps of S_H off a concentric HS bank down to
 an equal-length base; factor_euclidean is the generic Euclidean-algorithm
 oracle with two pivot policies; equivalent_mod_rescaling compares two
-irreducible cascades up to a gain rescaling.
+irreducible cascades up to a gain rescaling, the one move (_rescale)
+that factor_ws and dc_normalize also make.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import List, Optional, Tuple
 
 from .errors import (DCZero, FactorizationStuck, NotHSConcentric,
                      NotIrreducible, NotUnimodular, NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
 from .laurent import ZERO, LaurentPoly
-from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _ladder,
-                      normalize_semidirect, scaling_matrix)
-from .polyphase import BankClass, PolyphaseMatrix, classify_bank, make_bank
+from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _gain, _ladder,
+                      normalize_semidirect)
+from .polyphase import IDENTITY, PolyphaseMatrix, classify_bank, make_bank
 
 # ---------------------------------------------------------------------------
 # Laurent division
@@ -34,34 +34,33 @@ def laurent_divmod(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Lau
     Returns (q, r) with num = q*den + r and width(r) < width(den).  Among
     the valid remainders, picks one of minimal support width, breaking
     ties toward lower degree.
+
+    With num on [a, b], the valid remainders are the unique ones on the
+    windows [a + kills - t, b - t], t = 0..kills: cancelling the kills taps
+    below window 0 with den's bottom tap reaches it, and cancelling the top
+    tap of window t with den's top tap slides it down to window t + 1.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.zero()
-    d_ends = den.support()
-    d_order = d_ends[1] - d_ends[0]
-    kills = num.order() - d_order + 1
+    d_lo, d_hi = den.support()
+    a, b = num.support()
+    kills = b - a - (d_hi - d_lo) + 1
     if kills <= 0:
         return LaurentPoly.zero(), num
 
-    best = None  # (width, top_index, q, r)
-    for tops in range(kills + 1):
-        q: dict = {}
-        r = num
-        # Kill the top term of r `tops` times, then bottom terms until r is
-        # shorter than den.
-        for i in count():
-            if r.is_zero() or r.order() < d_order:
-                break
-            end = 1 if i < tops else 0
-            n_r, n_d = r.support()[end], d_ends[end]
-            coef = r.coeff(n_r) / den.coeff(n_d)
-            q[n_r - n_d] = q.get(n_r - n_d, 0) + coef
-            r = r - den.shift(n_r - n_d).scale(coef)
-        width = 0 if r.is_zero() else r.order() + 1
-        top = 0 if r.is_zero() else -r.support()[0]  # top degree of z
-        key = (width, top)
+    q: dict = {}
+    r, best = num, None  # best: ((width, top degree), q, r)
+    moves = [(n, d_lo) for n in range(a, a + kills)] + [(b - t, d_hi) for t in range(kills)]
+    for i, (n, d) in enumerate(moves, start=1):
+        coef = r.coeff(n) / den.coeff(d)
+        if coef:
+            q[n - d] = q.get(n - d, 0) + coef
+            r = r - den.shift(n - d).scale(coef)
+        if i < kills:
+            continue
+        key = (r.order() + 1, -r.support()[0]) if r else (0, 0)
         if best is None or key < best[0]:
             best = (key, LaurentPoly(q), r)
     return best[1], best[2]
@@ -89,19 +88,36 @@ def _stuck(g: GroupLiftingStructure, i: int, orders: List[int],
                               f"{orders[0]}, {orders[1]}): {why}")
 
 
-def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix,
-          cls: BankClass) -> Tuple[List[LaurentPoly], List[LiftingStep]]:
-    """Peel steps of structure g off bank h until its two scalar filters
-    have equal orders; returns those filters and the steps in product
-    order (last-applied first).
+def _unimodular(h: PolyphaseMatrix, who: str) -> None:
+    if not h.det_info().unimodular:
+        raise NotUnimodular(f"{who} requires a unimodular bank")
 
-    Filter i stays centred at its group delay d_i from cls: support [a, b]
-    with a + b = 2 d_i.  The filter m of larger order was lifted last, by a
-    step s of its filter group, so its taps i with need = 2i - 2 d_m -
-    order(other) > 0 come from s(z^2) * other alone.  The top such tap fixes
-    the one generator g_k that reaches it (2 order(g_k) = need) and, by one
-    division, its weight; cancelling it exposes the next.
+
+def _checked(out: LiftingCascade, h: PolyphaseMatrix) -> LiftingCascade:
+    """The one exit of the factorizers: out, once its product is h."""
+    if out.product() != h:
+        raise FactorizationStuck("product check failed")
+    return out
+
+
+def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
+          error: type, what: str) -> LiftingCascade:
+    """The start of factor_ws and factor_hs: check that h is a unimodular
+    bank of class kind (else raise error), then peel steps of structure g
+    off it until its two scalar filters have equal orders.  Returns the
+    peeled steps over the bank that is left, unscaled.
+
+    Filter i stays centred at its group delay d_i from the class: support
+    [a, b] with a + b = 2 d_i.  The filter m of larger order was lifted
+    last, by a step s of its filter group, so its taps i with need = 2i -
+    2 d_m - order(other) > 0 come from s(z^2) * other alone.  The top such
+    tap fixes the one generator g_k that reaches it (2 order(g_k) = need)
+    and, by one division, its weight; cancelling it exposes the next.
     """
+    _unimodular(h, who)
+    cls = classify_bank(h)
+    if cls.kind != kind:
+        raise error(f"{who} requires {what}")
     # Integer centres: Fraction arithmetic here would slow every peel.
     two_d = (int(2 * cls.d0), int(2 * cls.d1))
     e = [h.scalar_filter(0), h.scalar_filter(1)]
@@ -113,7 +129,7 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix,
             if a + b != two_d[i]:
                 raise _stuck(g, i, orders, "support not centred at the group delay")
         if orders[0] == orders[1]:
-            return e, peeled
+            return LiftingCascade(Fraction(1), tuple(reversed(peeled)), make_bank(*e))
         m = 0 if orders[0] > orders[1] else 1
         lifted, other, small = e[m], e[1 - m], orders[1 - m]
         spec = g.filter_spec(m)
@@ -137,29 +153,27 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix,
         peeled.append(LiftingStep(m, s))
 
 
+def _rescale(c: LiftingCascade, alpha: Fraction) -> LiftingCascade:
+    """The alpha-rescaling D_(K/alpha) gamma_alpha(S) D_alpha B of
+    c = D_K S B: the same product, with the gain alpha moved onto the base."""
+    return LiftingCascade(c.scale / alpha, tuple(s.conjugate(alpha) for s in c.steps),
+                          PolyphaseMatrix(*_gain(alpha, [c.base.row0, c.base.row1])))
+
+
 def factor_ws(h: PolyphaseMatrix) -> LiftingCascade:
     """The unique irreducible lifting factorization of a delay-minimized
     unimodular WS bank into HS-filter lifting steps and a gain scaling.
 
-    Peels S_W steps (see _peel) down to a constant diagonal remainder,
-    which becomes the gain scaling.
+    Peels S_W steps (see _peel) down to the constant bank D_K, whose gain
+    K is then moved off the base into the scale.
     """
-    if not h.det_info().unimodular:
-        raise NotUnimodular("factor_ws requires a unimodular bank")
-    cls = classify_bank(h)
-    if cls.kind != "WS_DELAY_MINIMIZED":
-        raise NotWSDelayMinimized("factor_ws requires a delay-minimized WS bank")
-
-    e, peeled = _peel(S_W, h, cls)
-    if e[0].support() != (0, 0) or e[1].support() != (-1, -1):
-        raise FactorizationStuck("non-diagonal constant remainder")
-    k = e[1].coeff(-1)
-    if e[0].coeff(0) * k != 1:
+    c = _peel(S_W, h, "factor_ws", "WS_DELAY_MINIMIZED", NotWSDelayMinimized,
+              "a delay-minimized WS bank")
+    # Unimodularity makes the remainder single taps, so K is nonzero.
+    out = _rescale(c, 1 / c.base.scalar_filter(1).coeff(-1))
+    if out.base != IDENTITY:
         raise FactorizationStuck("remainder is not a unimodular scaling")
-    out = normalize_semidirect(peeled + [k])
-    if out.product() != h:
-        raise FactorizationStuck("product check failed")
-    return out
+    return _checked(out, h)
 
 
 def factor_hs(h: PolyphaseMatrix, normalize_dc: bool = False) -> LiftingCascade:
@@ -170,22 +184,11 @@ def factor_hs(h: PolyphaseMatrix, normalize_dc: bool = False) -> LiftingCascade:
     orders are the terminal condition.  With normalize_dc the result is
     passed through dc_normalize.
     """
-    if not h.det_info().unimodular:
-        raise NotUnimodular("factor_hs requires a unimodular bank")
-    cls = classify_bank(h)
-    if cls.kind != "HS_CONCENTRIC":
-        raise NotHSConcentric("factor_hs requires a concentric HS bank")
-
-    e, peeled = _peel(S_H, h, cls)
-    base = make_bank(e[0], e[1])
-    if not base_admissible(S_H, base):
+    out = _peel(S_H, h, "factor_hs", "HS_CONCENTRIC", NotHSConcentric,
+                "a concentric HS bank")
+    if not base_admissible(S_H, out.base):
         raise FactorizationStuck("terminal bank is not an equal-length HS base")
-    out = LiftingCascade(Fraction(1), tuple(reversed(peeled)), base)
-    if normalize_dc:
-        out = dc_normalize(out)
-    if out.product() != h:
-        raise FactorizationStuck("product check failed")
-    return out
+    return _checked(dc_normalize(out) if normalize_dc else out, h)
 
 
 def dc_normalize(c: LiftingCascade) -> LiftingCascade:
@@ -194,9 +197,7 @@ def dc_normalize(c: LiftingCascade) -> LiftingCascade:
     beta = c.base.scalar_filter(0)(1)
     if beta == 0:
         raise DCZero("base lowpass DC response is zero")
-    return LiftingCascade(c.scale / beta,
-                          tuple(s.conjugate(beta) for s in c.steps),
-                          scaling_matrix(beta) @ c.base)
+    return _rescale(c, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +219,7 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
     """
     if policy not in ("A", "B"):
         raise ValueError("policy must be 'A' or 'B'")
-    if not h.det_info().unimodular:
-        raise NotUnimodular("factor_euclidean requires a unimodular bank")
+    _unimodular(h, "factor_euclidean")
 
     col = 1 if policy == "A" else 0
     target = 0 if policy == "A" else 1
@@ -266,11 +266,7 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
         else:
             rem = _antidiag_word(m) + _antidiag_word(LaurentPoly.constant(-1))
 
-    word = [op.inverse() for op in ops] + rem
-    out = normalize_semidirect(word)
-    if out.product() != h:
-        raise FactorizationStuck("product check failed")
-    return out
+    return _checked(normalize_semidirect([op.inverse() for op in ops] + rem), h)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +286,5 @@ def equivalent_mod_rescaling(c1: LiftingCascade,
     """Witness that c2 is the alpha-rescaling of c1, or None."""
     if not (c1.is_irreducible and c2.is_irreducible):
         raise NotIrreducible("rescaling comparison requires irreducible cascades")
-    if len(c1) != len(c2):
-        return None
-    alpha = Fraction(c1.scale) / Fraction(c2.scale)
-    if c2.base != scaling_matrix(alpha) @ c1.base:
-        return None
-    for s, sp in zip(c1.steps, c2.steps):
-        if sp.m != s.m or sp != s.conjugate(alpha):
-            return None
-    return RescalingWitness(alpha)
+    alpha = c1.scale / c2.scale
+    return RescalingWitness(alpha) if _rescale(c1, alpha) == c2 else None

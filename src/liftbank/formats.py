@@ -4,8 +4,8 @@ Bank file: optional `bank <name>` header, sections `h0:` and `h1:`, tap
 lines `tap <n> <p>/<q>` (`/<q>` omitted for integers), `#` comments.
 Cascade file: optional `scale <p>/<q>`, blocks `step U` / `step L` with
 tap lines in application order (first-applied step first), then an
-optional `base:` block embedding a bank.  parse/print round-trip is the
-identity on canonical files.
+optional `base:` block embedding a bank, which runs to the end of the
+file.  parse/print round-trip is the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -24,15 +24,22 @@ _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 _INDEX = re.compile(r"[+-]?[0-9]+")
 
 
+def _clip(text: str, keep: int = 40) -> str:
+    """text quoted for an error message, cut to a prefix past keep characters."""
+    if len(text) <= keep:
+        return repr(text)
+    return f"{text[:keep]!r}... ({len(text)} characters)"
+
+
 def _parse_fraction(tok: str, line_no: int) -> Fraction:
     m = _RATIONAL.fullmatch(tok)
     if m is None:
-        raise ParseError(f"bad rational {tok!r}", line=line_no)
+        raise ParseError(f"bad rational {_clip(tok)}", line=line_no)
     sign, num, den = m.groups()
     try:
         v = Fraction(_str_int(num), _str_int(den) if den else 1)
     except ZeroDivisionError:
-        raise ParseError(f"bad rational {tok!r}", line=line_no) from None
+        raise ParseError(f"bad rational {_clip(tok)}", line=line_no) from None
     return -v if sign == "-" else v
 
 
@@ -50,7 +57,7 @@ def _parse_tap(line: str, line_no: int, taps: dict):
     try:
         n = int(_INDEX.fullmatch(parts[1])[0])
     except (TypeError, ValueError):  # no match, or past CPython's int/str digit limit
-        raise ParseError(f"bad tap index {parts[1]!r}", line=line_no) from None
+        raise ParseError(f"bad tap index {_clip(parts[1])}", line=line_no) from None
     v = _parse_fraction(parts[2], line_no)
     if n in taps:
         raise DuplicateTap(f"tap {n} listed twice", line=line_no)
@@ -63,27 +70,32 @@ def _parse_tap(line: str, line_no: int, taps: dict):
 # Bank files
 
 
-def parse_bank(text: str) -> PolyphaseMatrix:
+def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
+    """The bank in (line number, text) pairs; line numbers a missing section."""
     filters: dict = {}
     current: Optional[dict] = None
-    for line_no, line in _lines(text):
-        keyword = line.split()[0]
+    for line_no, text in numbered_lines:
+        keyword = text.split()[0]
         if keyword == "bank":
             continue
-        if line in ("h0:", "h1:"):
-            key = line[:2]
+        if text in ("h0:", "h1:"):
+            key = text[:2]
             if key in filters:
-                raise ParseError(f"section {line!r} repeated", line=line_no)
+                raise ParseError(f"section {text!r} repeated", line=line_no)
             current = filters[key] = {}
         elif keyword == "tap":
             if current is None:
                 raise ParseError("tap before any h0:/h1: section", line=line_no)
-            _parse_tap(line, line_no, current)
+            _parse_tap(text, line_no, current)
         else:
-            raise ParseError(f"unrecognized line {line!r}", line=line_no)
+            raise ParseError(f"unrecognized line {_clip(text)}", line=line_no)
     if "h0" not in filters or "h1" not in filters:
-        raise ParseError("bank file needs both h0: and h1: sections")
+        raise ParseError("bank file needs both h0: and h1: sections", line=line)
     return make_bank(LaurentPoly(filters["h0"]), LaurentPoly(filters["h1"]))
+
+
+def parse_bank(text: str) -> PolyphaseMatrix:
+    return _read_bank(_lines(text))
 
 
 def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
@@ -105,44 +117,32 @@ def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
 def parse_cascade(text: str) -> LiftingCascade:
     scale = Fraction(1)
     steps: List[Tuple[int, dict]] = []
-    bank_lines: List[Tuple[int, str]] = []
-    mode = "head"  # head -> steps -> base
-    for line_no, line in _lines(text):
-        if mode == "base":
-            bank_lines.append((line_no, line))
-            continue
-        keyword = line.split()[0]
+    base = IDENTITY
+    lines = _lines(text)
+    for line_no, line in lines:
+        parts = line.split()
+        keyword = parts[0]
         if keyword == "scale":
-            if mode != "head" or steps:
+            if steps:
                 raise ParseError("scale must come before the steps", line=line_no)
-            parts = line.split()
             if len(parts) != 2:
                 raise ParseError("scale line must be `scale <p>[/<q>]`", line=line_no)
             scale = _parse_fraction(parts[1], line_no)
             if scale == 0:
                 raise ParseError("scale must be nonzero", line=line_no)
         elif keyword == "step":
-            parts = line.split()
             if len(parts) != 2 or parts[1] not in ("U", "L"):
                 raise ParseError("step line must be `step U` or `step L`", line=line_no)
             steps.append((0 if parts[1] == "U" else 1, {}))
-            mode = "steps"
         elif keyword == "tap":
             if not steps:
                 raise ParseError("tap before any step block", line=line_no)
             _parse_tap(line, line_no, steps[-1][1])
         elif line == "base:":
-            mode = "base"
+            base = _read_bank(lines, line_no)  # the rest of the file
         else:
-            raise ParseError(f"unrecognized line {line!r}", line=line_no)
+            raise ParseError(f"unrecognized line {_clip(line)}", line=line_no)
 
-    base = IDENTITY
-    if bank_lines:
-        # Keep each base line at its own line number for parse_bank's errors.
-        numbered = [""] * bank_lines[-1][0]
-        for line_no, line in bank_lines:
-            numbered[line_no - 1] = line
-        base = parse_bank("\n".join(numbered))
     lifting_steps = []
     for i, (m, taps) in enumerate(steps):
         if not taps:

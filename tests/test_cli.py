@@ -83,6 +83,11 @@ class TestCascadeFormat:
         with pytest.raises(ParseError):
             parse_cascade("step U\nstep L\ntap 0 1\n")
 
+    def test_empty_base_rejected(self):
+        with pytest.raises(ParseError, match="needs both h0: and h1:") as e:
+            parse_cascade("step U\ntap 0 1\nbase:\n")
+        assert e.value.line == 3
+
 
 # A keyword followed by more letters is not that keyword.
 @pytest.mark.parametrize("parse, text, line", [
@@ -126,6 +131,18 @@ def test_tap_indices_are_ascii_integers(parse, template, line, tok):
     with pytest.raises(ParseError, match="bad tap index") as e:
         parse(template.format(tok))
     assert e.value.line == line
+
+
+# An error echoes at most a prefix of a long token, with its length.
+@pytest.mark.parametrize("text, what, line", [
+    ("h0:\ntap {} 1\nh1:\ntap 0 1\n", "bad tap index", 2),
+    ("h0:\ntap 0 {}x\nh1:\ntap 0 1\n", "bad rational", 2),
+    ("h0:\ntap 0 1\n{}\n", "unrecognized line", 3),
+], ids=["index", "rational", "line"])
+def test_long_tokens_clipped_in_errors(text, what, line):
+    with pytest.raises(ParseError, match=what) as e:
+        parse_bank(text.format("9" * 10**6))
+    assert len(str(e.value)) < 200 and e.value.line == line
 
 
 def test_signed_and_padded_tap_indices():
@@ -246,6 +263,13 @@ class TestCommands:
 
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/x.bank"]) == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.bank"
+        path.write_bytes(b"h0:\ntap 0 1\xff\nh1:\ntap 0 1\n")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err and "Traceback" not in err
 
     def test_demo_haar(self, capsys):
         assert main(["demo", "haar"]) == 0

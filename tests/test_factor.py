@@ -14,6 +14,7 @@ from liftbank.factor import (dc_normalize, equivalent_mod_rescaling,
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_W, WA_ZERO,
                                   cascade_in_structure, check_order_increasing)
 from liftbank.laurent import LaurentPoly
+from liftbank.linsolve import solve_exact
 from liftbank.lifting import (LiftingCascade, lower, normalize_semidirect,
                               scaling_matrix, upper)
 from liftbank.polyphase import IDENTITY, PolyphaseMatrix, haar_bank, make_bank
@@ -28,6 +29,34 @@ def legall_bank():
                       1: F(1, 4), 2: F(-1, 8)})
     h1 = LaurentPoly({-2: F(-1, 2), -1: 1, 0: F(-1, 2)})
     return make_bank(h0, h1)
+
+
+def _sparse_polys(lo, hi, size):
+    coeffs = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    return st.dictionaries(st.integers(lo, hi), coeffs, min_size=1,
+                           max_size=size).map(LaurentPoly)
+
+
+def _window_divmod(num, den):
+    """Reference division: with num on [a, b], solve for the q that puts
+    num - q*den on each window [a + kills - t, b - t] and keep the first
+    remainder of least (width, top degree)."""
+    (a, b), (lo, hi) = num.support(), den.support()
+    kills = b - a - (hi - lo) + 1
+    if kills <= 0:
+        return LaurentPoly.zero(), num
+    q_idx = range(a - lo, a - lo + kills)
+    best = None
+    for t in range(kills + 1):
+        outside = [n for n in range(a, b + 1) if not a + kills - t <= n <= b - t]
+        sol = solve_exact([[den.coeff(n - j) for j in q_idx] for n in outside],
+                          [num.coeff(n) for n in outside])
+        q = LaurentPoly(dict(zip(q_idx, sol)))
+        r = num - q * den
+        key = (r.order() + 1, -r.support()[0]) if r else (0, 0)
+        if best is None or key < best[0]:
+            best = (key, q, r)
+    return best[1], best[2]
 
 
 class TestLaurentDivmod:
@@ -56,6 +85,21 @@ class TestLaurentDivmod:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             laurent_divmod(LaurentPoly.constant(1), LaurentPoly.zero())
+
+    def test_narrowest_remainder_past_a_double_cancellation(self):
+        # Cancelling the top tap z^-6 leaves z^-1 - 15/2 z^-3, already
+        # shorter than den: a division that stops there never cancels the
+        # bottom tap to reach the window [3, 5], and returns the width-3
+        # remainder -2/3 z^-4 + 5 z^-6 of the window [4, 6] instead.
+        num = LaurentPoly({1: 1, 3: -3, 6: 3})
+        den = LaurentPoly({3: 3, 6: 2})
+        q, r = laurent_divmod(num, den)
+        assert q == LaurentPoly({-2: F(1, 3), 0: F(3, 2)})
+        assert r == LaurentPoly({3: F(-15, 2), 4: F(-2, 3)})
+
+    @given(_sparse_polys(-8, 8, 6), _sparse_polys(-4, 4, 4))
+    def test_matches_window_reference(self, num, den):
+        assert laurent_divmod(num, den) == _window_divmod(num, den)
 
 
 class TestFactorWS:

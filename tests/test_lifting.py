@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liftbank.errors import BaseNotIdentity, NotIrreducible
+from liftbank.factor import _rescale, equivalent_mod_rescaling
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import (GroupWord, LiftingCascade, LiftingStep,
                               gamma_conjugate, invert_cascade, lower,
@@ -94,6 +95,28 @@ class TestLadderMatchesMatmul:
             partial.append(s.matrix() @ partial[-1])
         assert c.intermediates() == partial
         assert c.product() == scaling_matrix(c.scale) @ partial[-1]
+
+
+class TestRescale:
+    """_rescale moves a gain alpha from the scale onto the base; the
+    matrix product D_alpha B is the reference for the new base."""
+
+    @given(_cascades, _gains, st.data())
+    def test_rescale(self, c, alpha, data):
+        out = _rescale(c, alpha)
+        assert out.product() == c.product()
+        assert out.base == scaling_matrix(alpha) @ c.base
+        c = reduce_to_irreducible(c)
+        out = _rescale(c, alpha)
+        assert equivalent_mod_rescaling(c, out).alpha == alpha
+        if c.steps:
+            i = data.draw(st.integers(0, len(c) - 1))
+            s = out.steps[i]
+            n = data.draw(st.sampled_from(sorted(s.filter.indices())))
+            steps = list(out.steps)
+            steps[i] = LiftingStep(s.m, s.filter + LaurentPoly.monomial(n, s.filter.coeff(n)))
+            changed = LiftingCascade(out.scale, steps, out.base)
+            assert equivalent_mod_rescaling(c, changed) is None
 
 
 class TestReduce:
