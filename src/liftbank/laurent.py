@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import EmptySupport, InvalidArgument
@@ -102,7 +103,10 @@ class LaurentPoly:
     Storage grows with the number of nonzero taps, not with the index
     span.  Arithmetic results are built by `_make` (already canonical) or
     `_reduced` (integer numerators that may hold zeros or a common factor);
-    only the public constructor converts values through `Fraction`.
+    only the public constructor converts values through `Fraction`.  It
+    takes each index through `operator.index`, so `int` and `bool` pass,
+    and refuses any other (`1.5`, `2.0`, `'7'`, `None`) with
+    InvalidArgument, because the keys of `_num` are read as ints.
     """
 
     __slots__ = ("_num", "_den")
@@ -111,9 +115,13 @@ class LaurentPoly:
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
         terms = []
         for n, v in items:
+            try:
+                n = index(n)
+            except TypeError:
+                raise InvalidArgument(f"tap index {n!r} is not an integer") from None
             v = v if type(v) is int else Fraction(v)
             if v:
-                terms.append((int(n), v))
+                terms.append((n, v))
         den = lcm(*{v.denominator for _, v in terms})
         num: Dict[int, int] = {}
         for n, v in terms:

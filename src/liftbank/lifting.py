@@ -82,8 +82,8 @@ def _ladder(steps: Iterable[LiftingStep], y: list, lift, sign: int = 1) -> list:
 
 
 def _exact_lift(dst, filt: LaurentPoly, src, sign: int):
-    """dst + sign * src * S, exactly; dst and src are both LaurentPoly
-    channels or both PolyphaseVector rows."""
+    """dst + sign * src * S, exactly, on PolyphaseVector matrix rows;
+    signals run on transform's dense windows instead."""
     return dst + src * (filt if sign > 0 else -filt)
 
 

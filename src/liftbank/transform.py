@@ -1,8 +1,11 @@
 """Apply lifting cascades to finitely supported signals.
 
-Exact rational transforms run in the polyphase domain; reversible mode
-runs the same ladder on integer signals with per-step rounding
-round(v) = floor(v + 1/2), giving bit-exact inversion.
+Both ladders run on dense windows: each channel is a Python list over one
+shared run of indices, and a step is a few list comprehensions over
+shifted slices.  Exact transforms keep each channel as integer numerators
+over one positive denominator; reversible mode runs integer channels with
+per-step rounding round(v) = floor(v + 1/2), giving bit-exact inversion.
+Sparse LaurentPolys and dicts appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -10,40 +13,224 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat, zip_longest
-from operator import index, itemgetter
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from itertools import count, repeat
+from math import gcd, lcm
+from operator import index, itemgetter, sub
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
 from .laurent import LaurentPoly
-from .lifting import LiftingCascade, LiftingStep, _exact_lift, _gain, _ladder
-from .polyphase import IDENTITY, PolyphaseVector, merge_signal, split_signal
+from .lifting import LiftingCascade, _ladder
+from .polyphase import IDENTITY, PolyphaseMatrix
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 
 
+# ---------------------------------------------------------------------------
+# Dense windows
+
+
+def _radius(f: LaurentPoly) -> int:
+    """The largest |tap index| of f: how far f moves a sample."""
+    return max(map(abs, f._num), default=0)
+
+
+def _reach(c: LiftingCascade) -> int:
+    """How far c's base and steps together move a sample: the base
+    entries' largest radius plus the sum of the step filters' radii."""
+    return max(map(_radius, c.base.entries())) + sum(_radius(s.filter) for s in c.steps)
+
+
+def _windows(y: Tuple[Mapping[int, int], Mapping[int, int]],
+             reach: int) -> Iterator[Tuple[int, List[List[int]]]]:
+    """The channel pair y as one pair of dense windows [w0, w1] per run of
+    its indices: yields (lo, [w0, w1]) per run, position p of a window
+    holding the channel's index lo + p.
+
+    Runs are cut where neighbouring indices are more than 2 * reach apart,
+    and each window pads its run by reach on both sides.  Whatever then
+    runs on the windows, if it moves a sample by at most reach, no index
+    receives contributions from two runs: the windows hold the same values
+    as one window over everything."""
+    keys = sorted(y[0].keys() | y[1].keys())
+    gap = 2 * reach
+    cuts = [i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap]
+    bounds = [0, *cuts, len(keys)] if keys else []
+    pad = [0] * reach
+    for i, j in zip(bounds, bounds[1:]):
+        run = range(keys[i], keys[j - 1] + 1)
+        yield run.start - reach, [pad + list(map(ch.get, run, repeat(0))) + pad for ch in y]
+
+
+Column = Optional[Tuple[List[int], int]]
+Terms = List[Tuple[int, Column, Column]]
+
+
+def _shifts(parts: Iterable[Tuple[Dict[int, int], int, List[int]]]
+            ) -> Tuple[Terms, Callable[[Column], Iterable[int]]]:
+    """The sum over parts (num, factor, src) and taps n of
+    factor * num[n] times src shifted by n (position p reads src[p - n],
+    zero past src's ends), as (terms, col); the srcs are windows of one
+    length.
+
+    Each term (t, a, b) adds t * (col(a) + col(b)): taps with equal
+    products t, such as a linear-phase filter's symmetric pairs or the
+    matching entries of a base row, share one term per pair.  A tap left
+    over is paired with one left over at -t, such as an antisymmetric
+    filter's mirror tap, through a negated copy of that tap's source, or
+    else with None, which col reads as zeros.  col slices only when
+    called, so that one comprehension per term keeps at most two shifted
+    copies alive."""
+    taps: Dict[int, List[Tuple[List[int], int]]] = {}
+    for num, factor, src in parts:
+        size = len(src)
+        r = max(max(num), -min(num))
+        ext = [0] * r + src + [0] * r
+        for n, t in num.items():
+            taps.setdefault(t * factor, []).append((ext, r - n))
+    terms: Terms = []
+    odd = {}
+    for t, cols in taps.items():
+        terms += [(t, a, b) for a, b in zip(cols[::2], cols[1::2])]
+        if len(cols) & 1:
+            odd[t] = cols[-1]
+    negated: Dict[int, List[int]] = {}
+    for t, a in odd.items():
+        if -t not in odd:
+            terms.append((t, a, None))
+        elif t > 0:
+            ext, k = odd[-t]
+            if id(ext) not in negated:
+                negated[id(ext)] = [-v for v in ext]
+            terms.append((t, a, (negated[id(ext)], k)))
+
+    def col(c: Column) -> Iterable[int]:
+        return repeat(0) if c is None else c[0][c[1]:c[1] + size]
+
+    return terms, col
+
+
+def _nonzero(w: List[int], start: int, step: int = 1) -> Iterator[Tuple[int, int]]:
+    """The (index, value) pairs of window w's nonzero entries, position p
+    holding index start + step * p."""
+    return filter(itemgetter(1), zip(count(start, step), w))
+
+
+# ---------------------------------------------------------------------------
+# Exact rational transforms
+#
+# A channel is (w, den): a window w of integer numerators over one
+# positive denominator den.
+
+Channel = Tuple[List[int], int]
+
+
+def _reduced(w: List[int], den: int) -> Channel:
+    """The channel w / den with gcd(den, *w) divided out."""
+    g = gcd(den, *w)
+    return (w, den) if g == 1 else ([v // g for v in w], den // g)
+
+
+def _accumulate(acc: Iterable[int], fa: int, terms: Terms, col) -> List[int]:
+    """fa * acc plus the sum that _shifts gave as (terms, col)."""
+    (t, i, j), *rest = terms
+    if fa == 1:
+        acc = [a + t * (x + y) for a, x, y in zip(acc, col(i), col(j))]
+    else:
+        acc = [a * fa + t * (x + y) for a, x, y in zip(acc, col(i), col(j))]
+    for t, i, j in rest:
+        acc = [a + t * (x + y) for a, x, y in zip(acc, col(i), col(j))]
+    return acc
+
+
+def _exact_window_lift(dst: Channel, filt: LaurentPoly, src: Channel,
+                       sign: int) -> Channel:
+    """dst + sign * S * src, exactly.  With S = num / dS the sum has the
+    denominator L = lcm(den_dst, den_src * dS): dst's numerators times
+    L / den_dst plus sign * L / (den_src * dS) times num's shifted copies
+    of src's numerators."""
+    num = filt._num
+    if not num:
+        return dst
+    (w, dd), (v, ds) = dst, src
+    ds *= filt._den
+    den = lcm(dd, ds)
+    return _reduced(_accumulate(w, den // dd, *_shifts([(num, sign * (den // ds), v)])), den)
+
+
+def _window_apply(m: PolyphaseMatrix, y: List[Channel]) -> List[Channel]:
+    """The 2x2 matrix m applied to the channel pair y: each output channel
+    is the sum of up to two window convolutions over the lcm of their
+    denominators."""
+    size = len(y[0][0])
+    out = []
+    for row in (m.row0, m.row1):
+        parts = [(f, w, d * f._den) for f, (w, d) in zip((row.comp0, row.comp1), y) if f]
+        den = lcm(*(d for _, _, d in parts))
+        acc = [0] * size
+        if parts:
+            acc = _accumulate(acc, 1, *_shifts([(f._num, den // d, w) for f, w, d in parts]))
+        out.append(_reduced(acc, den))
+    return out
+
+
+def _window_gain(k: Fraction, y: List[Channel]) -> List[Channel]:
+    """D_K on the channel pair y: channel 0 over K, channel 1 times K."""
+    if k == 1:
+        return y
+    out = []
+    for (w, d), q in zip(y, (1 / k, k)):
+        n = q.numerator
+        out.append(([v * n for v in w], d * q.denominator))
+    return out
+
+
+def _poly(parts: List[Tuple[int, int, Channel]]) -> LaurentPoly:
+    """The LaurentPoly whose samples the parts (start, step, (w, den))
+    hold, position p of w at index start + step * p; no index is in two
+    parts."""
+    den = lcm(*(d for _, _, (_, d) in parts))
+    num: Dict[int, int] = {}
+    for start, step, (w, d) in parts:
+        f = den // d
+        num.update(_nonzero(w if f == 1 else [v * f for v in w], start, step))
+    return LaurentPoly._reduced(num, den)
+
+
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
-    """Polyphase split, then base, steps and gain: the ladder c.product()
-    runs on the base's rows, so the result is exactly c.product() applied
-    to the split signal, by construction."""
-    v = c.base.apply(PolyphaseVector(*split_signal(x)))
-    y0, y1 = _gain(c.scale, _ladder(c.steps, [v.comp0, v.comp1], _exact_lift))
-    return y0, y1
+    """Polyphase split, then base, steps and gain, on dense windows: the
+    ladder c.product() runs on the base's rows, so the result is exactly
+    c.product() applied to the split signal."""
+    x0, x1 = x._phases()
+    base = c.base != IDENTITY
+    y0, y1 = [], []
+    for lo, (w0, w1) in _windows((x0._num, x1._num), _reach(c)):
+        y = [(w0, x0._den), (w1, x1._den)]
+        y = _window_apply(c.base, y) if base else y
+        v0, v1 = _window_gain(c.scale, _ladder(c.steps, y, _exact_window_lift))
+        y0.append((lo, 1, v0))
+        y1.append((lo, 1, v1))
+    return _poly(y0), _poly(y1)
 
 
 def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
-    """Exact inverse ladder; requires a unimodular base."""
-    y0, y1 = _ladder(reversed(c.steps), _gain(1 / c.scale, list(y)), _exact_lift, -1)
-    v = c.base.inverse().apply(PolyphaseVector(y0, y1))
-    return merge_signal(v.comp0, v.comp1)
+    """Exact inverse of apply_analysis: gain, steps undone in reverse, and
+    the base's adjugate inverse, on dense windows.  Requires a unimodular
+    base, and raises NotUnimodular before any window is built."""
+    inverse = c.base.inverse()
+    base = inverse != IDENTITY
+    y0, y1 = y
+    out = []
+    for lo, (w0, w1) in _windows((y0._num, y1._num), _reach(c)):
+        v = _window_gain(1 / c.scale, [(w0, y0._den), (w1, y1._den)])
+        v = _ladder(reversed(c.steps), v, _exact_window_lift, -1)
+        v0, v1 = _window_apply(inverse, v) if base else v
+        out += [(2 * lo, 2, v0), (2 * lo + 1, 2, v1)]
+    return _poly(out)
 
 
 # ---------------------------------------------------------------------------
 # Reversible integer lifting
-#
-# The ladder runs on dense windows: each channel is a list over one shared
-# run of indices, and a step is a few list comprehensions over shifted
-# slices.  Sparse dicts appear only at the API boundary.
 
 IntSignal = Dict[int, int]
 IntSignalPair = Tuple[IntSignal, IntSignal]
@@ -100,32 +287,16 @@ def _window_lift(dst: List[int], filt: LaurentPoly, src: List[int],
 
     S = num / 2^s, so round(S * src) = (num * src + h) >> s with h = 2^s // 2.
     For sign = -1 the taps are negated and h becomes 2^s - 1 - h, because
-    -((v + h) >> s) = (-v + 2^s - 1 - h) >> s.  Taps with equal numerators,
-    such as a linear-phase filter's symmetric pairs, share one comprehension
-    per pair (a tap left over is paired with zeros); the first one also adds
-    dst << s and the last one shifts, since ((dst << s) + v) >> s =
-    dst + (v >> s)."""
+    -((v + h) >> s) = (-v + 2^s - 1 - h) >> s.  The sum runs over the
+    terms of _shifts; the first one also adds dst << s and the last one
+    shifts, since ((dst << s) + v) >> s = dst + (v >> s)."""
     num = filt._num
     if not num:
         return dst
     den = filt._den
     s = den.bit_length() - 1
     off = den >> 1 if sign > 0 else den - 1 - (den >> 1)
-    r = max(max(num), -min(num))
-    size = len(src)
-    pad = [0] * r
-    ext = pad + src + pad
-    starts: Dict[int, List[int]] = {}
-    for n, t in num.items():
-        starts.setdefault(t * sign, []).append(r - n)
-    terms = [(t, i, j) for t, ix in starts.items()
-             for i, j in zip_longest(ix[::2], ix[1::2])]
-
-    def col(i):
-        # src shifted by one tap, sliced only when its comprehension runs,
-        # so that at most two shifted copies are alive at once
-        return repeat(0) if i is None else ext[i:i + size]
-
+    terms, col = _shifts([(num, sign, src)])
     t, i, j = terms.pop()
     if not terms:
         return [d + ((t * (x + y) + off) >> s) for d, x, y in zip(dst, col(i), col(j))]
@@ -136,41 +307,12 @@ def _window_lift(dst: List[int], filt: LaurentPoly, src: List[int],
     return [(v + t * (x + y)) >> s for v, x, y in zip(acc, col(i), col(j))]
 
 
-def _windows(steps: Sequence[LiftingStep], y: IntSignalPair,
-             sign: int = 1) -> Iterator[Tuple[int, List[List[int]]]]:
-    """_ladder(steps, y, ..., sign) on the integer channel pair y, run on
-    one pair of dense windows per run of indices: yields (lo, [w0, w1])
-    per run, position p of a window holding the channel's index lo + p.
-
-    A step moves a sample by at most its filter's largest |tap index|, so
-    the steps together move it by at most their sum R.  Each window pads
-    its run by R on both sides, and runs are cut where neighbouring
-    indices are more than 2R apart, so that no index receives
-    contributions from two runs: the windows hold the same values as one
-    window over everything."""
-    reach = sum(max(map(abs, s.filter._num), default=0) for s in steps)
-    keys = sorted(y[0].keys() | y[1].keys())
-    cuts = [i for i in range(1, len(keys)) if keys[i] - keys[i - 1] > 2 * reach]
-    bounds = [0, *cuts, len(keys)] if keys else []
-    pad = [0] * reach
-    for i, j in zip(bounds, bounds[1:]):
-        run = range(keys[i], keys[j - 1] + 1)
-        w = [pad + list(map(ch.get, run, repeat(0))) + pad for ch in y]
-        yield run.start - reach, _ladder(steps, w, _window_lift, sign)
-
-
-def _nonzero(w: List[int], start: int, step: int = 1) -> Iterator[Tuple[int, int]]:
-    """The (index, value) pairs of window w's nonzero entries, position p
-    holding index start + step * p."""
-    return filter(itemgetter(1), zip(count(start, step), w))
-
-
 def _rounded_update(filt: LaurentPoly, src: IntSignal) -> IntSignal:
     """round(S * src) with round(v) = floor(v + 1/2), nonzero entries
     only: one lower step on the pair (src, 0)."""
     out: IntSignal = {}
-    for lo, (_, w1) in _windows((LiftingStep(1, filt),), (src, {})):
-        out.update(_nonzero(w1, lo))
+    for lo, (w0, w1) in _windows((src, {}), _radius(filt)):
+        out.update(_nonzero(_window_lift(w1, filt, w0, 1), lo))
     return out
 
 
@@ -179,7 +321,8 @@ def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPai
     _check_reversible(c)
     y0: IntSignal = {}
     y1: IntSignal = {}
-    for lo, (w0, w1) in _windows(c.steps, _int_split(x)):
+    for lo, w in _windows(_int_split(x), _reach(c)):
+        w0, w1 = _ladder(c.steps, w, _window_lift)
         y0.update(_nonzero(w0, lo))
         y1.update(_nonzero(w1, lo))
     return y0, y1
@@ -190,7 +333,8 @@ def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
     _check_reversible(c)
     y = (_int_samples(y[0]), _int_samples(y[1]))
     out: IntSignal = {}
-    for lo, (w0, w1) in _windows(c.steps[::-1], y, -1):
+    for lo, w in _windows(y, _reach(c)):
+        w0, w1 = _ladder(reversed(c.steps), w, _window_lift, -1)
         out.update(_nonzero(w0, 2 * lo, 2))
         out.update(_nonzero(w1, 2 * lo + 1, 2))
     return out

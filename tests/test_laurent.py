@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -185,6 +186,20 @@ class TestDyadic:
         assert LaurentPoly({0: F(1, 4), 1: 2}).is_dyadic
         assert not LaurentPoly({0: F(1, 6)}).is_dyadic
         assert LaurentPoly({0: 3}).is_integer
+
+
+class TestIndices:
+    @pytest.mark.parametrize("n", [1.5, 2.0, "7", None, F(1, 2), F(2)])
+    def test_non_integer_index_is_named(self, n):
+        with pytest.raises(InvalidArgument, match=re.escape(f"index {n!r} is not an integer")):
+            LaurentPoly({0: 1, n: 3})
+        with pytest.raises(InvalidArgument):
+            LaurentPoly([(n, 0)])
+
+    def test_int_and_bool_indices_pass(self):
+        p = LaurentPoly({True: 2, False: 1, 10 ** 30: -1})
+        assert p == LaurentPoly({1: 2, 0: 1, 10 ** 30: -1})
+        assert all(type(n) is int for n in p.indices())
 
 
 class TestStr:

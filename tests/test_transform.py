@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftbank.errors import InvalidArgument, LiftbankError, NonIntegerInput, NotDyadic
+from liftbank import transform
+from liftbank.errors import (InvalidArgument, LiftbankError, NonIntegerInput, NotDyadic,
+                             NotUnimodular)
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
-from liftbank.polyphase import PolyphaseMatrix, PolyphaseVector, haar_bank
-from liftbank.randgen import (rand_dyadic_ws_cascade, rand_hs_cascade,
-                              rand_int_signal, rand_signal, rand_ws_cascade)
+from liftbank.polyphase import (IDENTITY, PolyphaseMatrix, PolyphaseVector, haar_bank,
+                                merge_signal, split_signal)
+from liftbank.randgen import (rand_dyadic_ws_cascade, rand_equal_length_hs_base,
+                              rand_hs_cascade, rand_int_signal, rand_signal,
+                              rand_ws_cascade)
 from liftbank.transform import (apply_analysis, apply_synthesis,
                                 reversible_analysis, reversible_synthesis,
                                 verify_pr)
@@ -266,6 +270,129 @@ class TestWindowLadder:
             y = reversible_analysis(c, x)
             assert reversible_synthesis(c, y) == x
             assert time.perf_counter() - t0 < 1
+
+
+# The LaurentPoly ladder the library ran before its exact dense windows,
+# kept as the reference the windows must match.
+
+
+def ref_exact_ladder(steps, y, sign):
+    y = list(y)
+    for s in steps:
+        y[s.m] = y[s.m] + y[1 - s.m] * (s.filter if sign > 0 else -s.filter)
+    return y
+
+
+def ref_exact_analysis(c, x):
+    v = c.base.apply(PolyphaseVector(*split_signal(x)))
+    y0, y1 = ref_exact_ladder(c.steps, (v.comp0, v.comp1), 1)
+    return y0 * (1 / c.scale), y1 * c.scale
+
+
+def ref_exact_synthesis(c, y):
+    y0, y1 = ref_exact_ladder(c.steps[::-1], (y[0] * c.scale, y[1] * (1 / c.scale)), -1)
+    v = c.base.inverse().apply(PolyphaseVector(y0, y1))
+    return merge_signal(v.comp0, v.comp1)
+
+
+def exact_reach(c):
+    return max(max((abs(n) for n in e.indices()), default=0) for e in c.base.entries()) \
+        + reach(c)
+
+
+coeffs = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+nonzero_coeffs = st.builds(F, st.integers(1, 40) | st.integers(-40, -1), st.integers(1, 12))
+rational_samples = st.builds(F, st.integers(-300, 300), st.sampled_from([1, 2, 3, 5, 6, 8, 9]))
+hs_bases = st.builds(lambda seed, w: rand_equal_length_hs_base(random.Random(seed), width=w),
+                     st.integers(0, 2 ** 32), st.integers(0, 2))
+
+
+@st.composite
+def exact_cascades(draw):
+    """Cascades of up to five steps whose filters have rational taps with
+    denominators 1..12 (zero filters included), a gain K != 1 and base I
+    or an equal-length HS base, whose Q is solved for and rarely dyadic.
+    Half of them alternate and give every filter taps at both ends of its
+    radius, so that a sample spreads by the whole reach."""
+    full = draw(st.booleans())
+    m = draw(st.integers(0, 1))
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        if full:
+            r = draw(st.integers(1, 3))
+            inner = draw(st.lists(coeffs, min_size=2 * r - 1, max_size=2 * r - 1))
+            taps = dict(zip(range(-r, r + 1),
+                            [draw(nonzero_coeffs), *inner, draw(nonzero_coeffs)]))
+        else:
+            taps = draw(st.dictionaries(st.integers(-3, 3), coeffs, max_size=5))
+        steps.append(LiftingStep(m, LaurentPoly(taps)))
+        m = 1 - m if full else draw(st.integers(0, 1))
+    k = draw(nonzero_coeffs.filter(lambda k: k != 1))
+    return LiftingCascade(k, steps, draw(st.just(IDENTITY) | hs_bases))
+
+
+@st.composite
+def rational_signals(draw, r):
+    """Dense and empty signals of rational samples with mixed
+    denominators, and two blocks whose nearest channel indices are
+    exactly 2R or 2R + 1 apart, R being the reach of base and steps."""
+    kind = draw(st.sampled_from(["dense", "empty", "gap"]))
+    if kind == "empty":
+        return LaurentPoly()
+    if kind == "dense":
+        start = draw(st.integers(-40, 40))
+        vals = draw(st.lists(rational_samples, min_size=1, max_size=40))
+        return LaurentPoly({start + i: v for i, v in enumerate(vals)})
+    a = draw(st.integers(-20, 20))
+    b = a + 2 * r + draw(st.integers(0, 1))
+    x = {2 * a - i: v for i, v in enumerate(draw(st.lists(rational_samples, max_size=10)), 1)}
+    x.update({2 * b + 2 + i: v
+              for i, v in enumerate(draw(st.lists(rational_samples, max_size=10)))})
+    x.update({k: draw(rational_samples.filter(bool)) for k in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)})
+    return LaurentPoly(x)
+
+
+class TestExactWindows:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_matrix_action_and_ladder(self, data):
+        c = data.draw(exact_cascades())
+        x = data.draw(rational_signals(exact_reach(c)))
+        y = apply_analysis(c, x)
+        ref = c.product().apply(PolyphaseVector(*split_signal(x)))
+        assert y == (ref.comp0, ref.comp1) == ref_exact_analysis(c, x)
+        assert apply_synthesis(c, y) == x
+        # synthesis on coefficients that no analysis produced
+        z = (y[1], y[0].shift(-1))
+        assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
+
+    @pytest.mark.parametrize("x", [{0: 1, 10 ** 12: -1},
+                                   {-2 ** 40: F(1, 3), 2 ** 40: 5}])
+    def test_far_apart_samples_stay_cheap(self, x):
+        rng = random.Random(8)
+        x = LaurentPoly(x)
+        ws = rand_ws_cascade(rng, n_steps=6)
+        while ws.scale == 1:
+            ws = rand_ws_cascade(rng, n_steps=6)
+        hs = rand_hs_cascade(rng, n_steps=4, base=rand_equal_length_hs_base(rng, width=2))
+        assert hs.base != IDENTITY
+        for c in (ws, hs):
+            t0 = time.perf_counter()
+            y = apply_analysis(c, x)
+            assert time.perf_counter() - t0 < 1
+            t0 = time.perf_counter()
+            assert apply_synthesis(c, y) == x
+            assert time.perf_counter() - t0 < 1
+
+    def test_singular_base_refused_before_windows(self, monkeypatch):
+        def no_windows(*args):
+            raise AssertionError("window work before the unimodular check")
+        c = LiftingCascade(F(2), (upper(F(1)),), PolyphaseMatrix.from_entries(1, 1, 1, 1))
+        assert not verify_pr(c).ok
+        y = apply_analysis(c, LaurentPoly({0: 1, 10 ** 12: -1}))
+        monkeypatch.setattr(transform, "_windows", no_windows)
+        with pytest.raises(NotUnimodular):
+            apply_synthesis(c, y)
 
 
 class TestReversibleInputs:
