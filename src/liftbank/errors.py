@@ -51,7 +51,10 @@ class BaseNotIdentity(LiftbankError):
 
 
 class InvalidArgument(LiftbankError):
-    """A count or size argument is out of range, e.g. zero trials."""
+    """An argument is out of range or of the wrong kind: zero trials, a
+    policy, update characteristic or generator index that does not exist,
+    a tap index that is not an integer, or a signal that is not a
+    LaurentPoly."""
 
 
 class ParseError(LiftbankError):

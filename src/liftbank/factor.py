@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from functools import wraps
+from math import gcd, lcm
+from typing import Dict, List, Optional, Tuple
 
-from .errors import (DCZero, FactorizationStuck, NotHSConcentric,
-                     NotIrreducible, NotUnimodular, NotWSDelayMinimized)
+from .errors import (DCZero, EmptySupport, FactorizationStuck, InvalidArgument,
+                     LiftbankError, NotHSConcentric, NotIrreducible, NotUnimodular,
+                     NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
-from .laurent import ZERO, LaurentPoly
+from .laurent import LaurentPoly
 from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _gain, _ladder,
                       normalize_semidirect)
 from .polyphase import IDENTITY, PolyphaseMatrix, classify_bank, make_bank
@@ -77,11 +80,6 @@ def _monomial_inverse(f: LaurentPoly) -> LaurentPoly:
 # WS and HS factorization: one peel engine driven by the lifting structure
 
 
-def _upsample(f: LaurentPoly) -> LaurentPoly:
-    """F(z) -> F(z^2): a step filter as it acts on a scalar filter."""
-    return LaurentPoly._interleave(f, ZERO)
-
-
 def _stuck(g: GroupLiftingStructure, i: int, orders: List[int],
            why: str) -> FactorizationStuck:
     return FactorizationStuck(f"{g.name} channel {i} (filter orders "
@@ -93,6 +91,23 @@ def _unimodular(h: PolyphaseMatrix, who: str) -> None:
         raise NotUnimodular(f"{who} requires a unimodular bank")
 
 
+def _unimodular_on_failure(factor):
+    """factor, with a failure on a bank whose determinant is not 1 raised
+    as NotUnimodular.  A success needs no determinant: it ends in the
+    product check, over unimodular steps and gain and a base that is I or
+    passed base_admissible, so h = product() has det h = 1."""
+    who = factor.__name__
+
+    @wraps(factor)
+    def checked(h: PolyphaseMatrix, *args, **kwargs) -> LiftingCascade:
+        try:
+            return factor(h, *args, **kwargs)
+        except (LiftbankError, ZeroDivisionError):
+            _unimodular(h, who)
+            raise
+    return checked
+
+
 def _checked(out: LiftingCascade, h: PolyphaseMatrix) -> LiftingCascade:
     """The one exit of the factorizers: out, once its product is h."""
     if out.product() != h:
@@ -100,57 +115,90 @@ def _checked(out: LiftingCascade, h: PolyphaseMatrix) -> LiftingCascade:
     return out
 
 
+def _span(num: Dict[int, int]) -> Tuple[int, int]:
+    if not num:
+        raise EmptySupport("zero polynomial has empty support")
+    return min(num), max(num)
+
+
 def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
           error: type, what: str) -> LiftingCascade:
-    """The start of factor_ws and factor_hs: check that h is a unimodular
-    bank of class kind (else raise error), then peel steps of structure g
-    off it until its two scalar filters have equal orders.  Returns the
-    peeled steps over the bank that is left, unscaled.
+    """The start of factor_ws and factor_hs: check that h is a bank of
+    class kind (else raise error), then peel steps of structure g off it
+    until its two scalar filters have equal orders.  Returns the peeled
+    steps over the bank that is left, unscaled.
 
     Filter i stays centred at its group delay d_i from the class: support
     [a, b] with a + b = 2 d_i.  The filter m of larger order was lifted
     last, by a step s of its filter group, so its taps i with need = 2i -
     2 d_m - order(other) > 0 come from s(z^2) * other alone.  The top such
-    tap fixes the one generator g_k that reaches it (2 order(g_k) = need)
-    and, by one division, its weight; cancelling it exposes the next.
+    tap fixes the one generator z^-n + sign z^-mirror that reaches it
+    (2 (mirror - n) = need) and, by one division, its weight; cancelling
+    it exposes the next.  Each filter is a dict of integer numerators over
+    one positive denominator, so a cancellation is lifted * otop - ltop *
+    (sign * other shifted by 2n + other shifted by 2 mirror), otop and
+    ltop being the top taps of other and lifted, over den * otop.
     """
-    _unimodular(h, who)
     cls = classify_bank(h)
     if cls.kind != kind:
         raise error(f"{who} requires {what}")
     # Integer centres: Fraction arithmetic here would slow every peel.
     two_d = (int(2 * cls.d0), int(2 * cls.d1))
-    e = [h.scalar_filter(0), h.scalar_filter(1)]
+    e = [(f._num, f._den) for f in (h.scalar_filter(0), h.scalar_filter(1))]
     peeled: List[LiftingStep] = []
     while True:
-        spans = [f.support() for f in e]
+        spans = [_span(num) for num, _ in e]
         orders = [b - a for a, b in spans]
         for i, (a, b) in enumerate(spans):
             if a + b != two_d[i]:
                 raise _stuck(g, i, orders, "support not centred at the group delay")
         if orders[0] == orders[1]:
-            return LiftingCascade(Fraction(1), tuple(reversed(peeled)), make_bank(*e))
+            base = make_bank(*(LaurentPoly._make(num, den) for num, den in e))
+            return LiftingCascade(Fraction(1), tuple(reversed(peeled)), base)
         m = 0 if orders[0] > orders[1] else 1
-        lifted, other, small = e[m], e[1 - m], orders[1 - m]
+        (num, den), (other, oden) = e[m], e[1 - m]
+        small = orders[1 - m]
+        otop = other[spans[1 - m][1]]
         spec = g.filter_spec(m)
-        s = ZERO
-        while lifted:
-            i = lifted.support()[1]
+        weights = []  # (taps, numerator, denominator) of each generator's weight
+        while num:
+            i = max(num)
             need = 2 * i - two_d[m] - small
             if need <= 0:
                 break
             # need == 1 gives k == 0; generator 1 then fails the check.
-            gk = spec.basis(max(1, (need // 2 + 1) // 2))
-            if 2 * gk.order() != need:
+            taps = n, mirror, sign = spec._taps(max(1, (need // 2 + 1) // 2))
+            if 2 * (mirror - n) != need:
                 raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
-            col = _upsample(gk) * other
-            u = lifted.coeff(i) / col.coeff(i)
-            s = s + gk.scale(u)
-            lifted = lifted - col.scale(u)
-        if lifted.is_zero() or lifted.order() > small:
+            a, b = (otop, num[i]) if otop > 0 else (-otop, -num[i])
+            if a != 1:
+                num = {k: v * a for k, v in num.items()}
+            den *= a
+            weights.append((taps, sign * b * oden, den))
+            get, pop = num.get, num.pop
+            for shift, c in ((2 * n, sign * b), (2 * mirror, b)):
+                for k, v in other.items():
+                    k += shift
+                    v = get(k, 0) - c * v
+                    if v:
+                        num[k] = v
+                    else:
+                        pop(k, None)
+            if den != 1:
+                q = gcd(den, *num.values())
+                if q != 1:
+                    num = {k: v // q for k, v in num.items()}
+                    den //= q
+        if not num or max(num) - min(num) > small:
             raise _stuck(g, m, orders, "peel did not reduce the order")
-        e[m] = lifted
-        peeled.append(LiftingStep(m, s))
+        e[m] = (num, den)
+        wden = lcm(*(d for _, _, d in weights))
+        s: Dict[int, int] = {}
+        for (n, mirror, sign), w, d in weights:
+            w *= wden // d
+            s[n] = w
+            s[mirror] = sign * w
+        peeled.append(LiftingStep(m, LaurentPoly._reduced(s, wden)))
 
 
 def _rescale(c: LiftingCascade, alpha: Fraction) -> LiftingCascade:
@@ -160,6 +208,7 @@ def _rescale(c: LiftingCascade, alpha: Fraction) -> LiftingCascade:
                           PolyphaseMatrix(*_gain(alpha, [c.base.row0, c.base.row1])))
 
 
+@_unimodular_on_failure
 def factor_ws(h: PolyphaseMatrix) -> LiftingCascade:
     """The unique irreducible lifting factorization of a delay-minimized
     unimodular WS bank into HS-filter lifting steps and a gain scaling.
@@ -169,13 +218,15 @@ def factor_ws(h: PolyphaseMatrix) -> LiftingCascade:
     """
     c = _peel(S_W, h, "factor_ws", "WS_DELAY_MINIMIZED", NotWSDelayMinimized,
               "a delay-minimized WS bank")
-    # Unimodularity makes the remainder single taps, so K is nonzero.
+    # On a unimodular bank the remainder is single taps, so K is nonzero;
+    # on any other this may divide by zero, which is reported as NotUnimodular.
     out = _rescale(c, 1 / c.base.scalar_filter(1).coeff(-1))
     if out.base != IDENTITY:
         raise FactorizationStuck("remainder is not a unimodular scaling")
     return _checked(out, h)
 
 
+@_unimodular_on_failure
 def factor_hs(h: PolyphaseMatrix, normalize_dc: bool = False) -> LiftingCascade:
     """Partial factorization of a concentric unimodular HS bank into WA
     lifting steps over a concentric equal-length HS base.
@@ -218,7 +269,7 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
     nonuniqueness of irreducible lifting factorizations.
     """
     if policy not in ("A", "B"):
-        raise ValueError("policy must be 'A' or 'B'")
+        raise InvalidArgument(f"policy must be 'A' or 'B', got {policy!r}")
     _unimodular(h, "factor_euclidean")
 
     col = 1 if policy == "A" else 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DuplicateTap, ParseError, ZeroTap
 from .laurent import LaurentPoly, _fmt_fraction, _str_int
@@ -31,16 +32,17 @@ def _clip(text: str, keep: int = 40) -> str:
     return f"{text[:keep]!r}... ({len(text)} characters)"
 
 
-def _parse_fraction(tok: str, line_no: int) -> Fraction:
+def _parse_rational(tok: str, line_no: int) -> Tuple[int, int]:
+    """tok as integers (p, q), q > 0, not reduced: no Fraction per tap."""
     m = _RATIONAL.fullmatch(tok)
     if m is None:
         raise ParseError(f"bad rational {_clip(tok)}", line=line_no)
     sign, num, den = m.groups()
-    try:
-        v = Fraction(_str_int(num), _str_int(den) if den else 1)
-    except ZeroDivisionError:
-        raise ParseError(f"bad rational {_clip(tok)}", line=line_no) from None
-    return -v if sign == "-" else v
+    q = _str_int(den) if den else 1
+    if not q:
+        raise ParseError(f"bad rational {_clip(tok)}", line=line_no)
+    p = _str_int(num)
+    return (-p if sign == "-" else p), q
 
 
 def _lines(text: str):
@@ -58,12 +60,19 @@ def _parse_tap(line: str, line_no: int, taps: dict):
         n = int(_INDEX.fullmatch(parts[1])[0])
     except (TypeError, ValueError):  # no match, or past CPython's int/str digit limit
         raise ParseError(f"bad tap index {_clip(parts[1])}", line=line_no) from None
-    v = _parse_fraction(parts[2], line_no)
+    v = _parse_rational(parts[2], line_no)
     if n in taps:
         raise DuplicateTap(f"tap {n} listed twice", line=line_no)
-    if v == 0:
+    if v[0] == 0:
         raise ZeroTap(f"tap {n} is zero; canonical files store no zeros", line=line_no)
     taps[n] = v
+
+
+def _filter(taps: Dict[int, Tuple[int, int]]) -> LaurentPoly:
+    """The filter with tap n = p/q for each n -> (p, q) of taps, over one
+    lcm of the q's."""
+    den = lcm(*{q for _, q in taps.values()})
+    return LaurentPoly._reduced({n: p * (den // q) for n, (p, q) in taps.items()}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +100,7 @@ def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
             raise ParseError(f"unrecognized line {_clip(text)}", line=line_no)
     if "h0" not in filters or "h1" not in filters:
         raise ParseError("bank file needs both h0: and h1: sections", line=line)
-    return make_bank(LaurentPoly(filters["h0"]), LaurentPoly(filters["h1"]))
+    return make_bank(_filter(filters["h0"]), _filter(filters["h1"]))
 
 
 def parse_bank(text: str) -> PolyphaseMatrix:
@@ -127,9 +136,10 @@ def parse_cascade(text: str) -> LiftingCascade:
                 raise ParseError("scale must come before the steps", line=line_no)
             if len(parts) != 2:
                 raise ParseError("scale line must be `scale <p>[/<q>]`", line=line_no)
-            scale = _parse_fraction(parts[1], line_no)
-            if scale == 0:
+            p, q = _parse_rational(parts[1], line_no)
+            if p == 0:
                 raise ParseError("scale must be nonzero", line=line_no)
+            scale = Fraction(p, q)
         elif keyword == "step":
             if len(parts) != 2 or parts[1] not in ("U", "L"):
                 raise ParseError("step line must be `step U` or `step L`", line=line_no)
@@ -147,7 +157,7 @@ def parse_cascade(text: str) -> LiftingCascade:
     for i, (m, taps) in enumerate(steps):
         if not taps:
             raise ParseError(f"step {i} has no taps")
-        lifting_steps.append(LiftingStep(m, LaurentPoly(taps)))
+        lifting_steps.append(LiftingStep(m, _filter(taps)))
     return LiftingCascade(scale, tuple(lifting_steps), base)
 
 

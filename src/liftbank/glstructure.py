@@ -28,13 +28,19 @@ class FilterGroupSpec:
         """The k-th generator (k >= 1) of the step group, a filter of
         support radius k; the members of support radius t are the rational
         combinations of the first t generators with a nonzero t-th weight."""
+        n, mirror, sign = self._taps(k)
+        return LaurentPoly({n: 1, mirror: sign})
+
+    def _taps(self, k: int) -> Tuple[int, int, int]:
+        """(n, mirror, sign) with basis(k) = z^-n + sign * z^-mirror and
+        n < mirror, the two taps about the axis."""
         if k < 1:
-            raise ValueError(f"generator index must be >= 1, got {k}")
+            raise InvalidArgument(f"generator index must be >= 1, got {k}")
         axis = self.symmetry.axis
         # Integer arithmetic: int(2 * axis) would build a Fraction per call.
         two_axis = axis.numerator * (2 // axis.denominator)
         n = (two_axis + 1) // 2 - k
-        return LaurentPoly({n: 1, two_axis - n: -1 if self.symmetry.kind == "WA" else 1})
+        return n, two_axis - n, -1 if self.symmetry.kind == "WA" else 1
 
 
 HS_PLUS = FilterGroupSpec(SymmetryTag("HS", Fraction(1, 2)))    # upper WS steps

@@ -239,6 +239,26 @@ class LaurentPoly:
                 c[k] = get(k, 0) + v * w
         return LaurentPoly._reduced(c, self._den * other._den)
 
+    def _add_product(self, a: "LaurentPoly", b: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * a * b in one pass over lcm(den, den_a * den_b),
+        canonicalized once."""
+        if not a._num or not b._num:
+            return self
+        dp = a._den * b._den
+        den = lcm(self._den, dp)
+        fs, fp = den // self._den, sign * (den // dp)
+        c = dict(self._num) if fs == 1 else {n: v * fs for n, v in self._num.items()}
+        get = c.get
+        long, short = a._num, b._num
+        if len(long) < len(short):
+            long, short = short, long
+        for m, w in short.items():
+            w *= fp
+            for n, v in long.items():
+                k = n + m
+                c[k] = get(k, 0) + v * w
+        return LaurentPoly._reduced(c, den)
+
     def __rmul__(self, other: Rational) -> "LaurentPoly":
         return self.scale(other)
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .errors import BaseNotIdentity, NotIrreducible
+from .errors import BaseNotIdentity, InvalidArgument, NotIrreducible
 from .laurent import LaurentPoly, Rational, is_dyadic
-from .polyphase import IDENTITY, PolyphaseMatrix
+from .polyphase import IDENTITY, PolyphaseMatrix, PolyphaseVector
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class LiftingStep:
     filter: LaurentPoly
 
     def __post_init__(self):
-        if self.m not in (0, 1):
-            raise ValueError("update characteristic must be 0 or 1")
+        if not isinstance(self.m, int) or self.m not in (0, 1):
+            raise InvalidArgument(f"update characteristic must be 0 or 1, got {self.m!r}")
 
     def matrix(self) -> PolyphaseMatrix:
         if self.m == 0:
@@ -81,10 +81,13 @@ def _ladder(steps: Iterable[LiftingStep], y: list, lift, sign: int = 1) -> list:
     return y
 
 
-def _exact_lift(dst, filt: LaurentPoly, src, sign: int):
-    """dst + sign * src * S, exactly, on PolyphaseVector matrix rows;
-    signals run on transform's dense windows instead."""
-    return dst + src * (filt if sign > 0 else -filt)
+def _exact_lift(dst: PolyphaseVector, filt: LaurentPoly, src: PolyphaseVector,
+                sign: int) -> PolyphaseVector:
+    """dst + sign * src * S, exactly, on matrix rows: one fused
+    multiply-add per component; signals run on transform's dense windows
+    instead."""
+    return PolyphaseVector(dst.comp0._add_product(src.comp0, filt, sign),
+                           dst.comp1._add_product(src.comp1, filt, sign))
 
 
 def _gain(k: Fraction, y: list) -> list:

@@ -39,9 +39,6 @@ class PolyphaseVector:
     def is_zero(self) -> bool:
         return self.comp0.is_zero() and self.comp1.is_zero()
 
-    def __add__(self, other: "PolyphaseVector") -> "PolyphaseVector":
-        return PolyphaseVector(self.comp0 + other.comp0, self.comp1 + other.comp1)
-
     def __mul__(self, s) -> "PolyphaseVector":
         """Both components times s, a LaurentPoly or a rational."""
         return PolyphaseVector(self.comp0 * s, self.comp1 * s)

@@ -197,10 +197,20 @@ def _poly(parts: List[Tuple[int, int, Channel]]) -> LaurentPoly:
     return LaurentPoly._reduced(num, den)
 
 
+def _kind(x) -> str:
+    """The type of x for an error message; a tuple or list with its items'."""
+    if isinstance(x, (tuple, list)):
+        return f"{type(x).__name__} of ({', '.join(type(v).__name__ for v in x)})"
+    return type(x).__name__
+
+
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     """Polyphase split, then base, steps and gain, on dense windows: the
     ladder c.product() runs on the base's rows, so the result is exactly
-    c.product() applied to the split signal."""
+    c.product() applied to the split signal.  Raises InvalidArgument if x
+    is not a LaurentPoly."""
+    if not isinstance(x, LaurentPoly):
+        raise InvalidArgument(f"apply_analysis takes a LaurentPoly signal, got {_kind(x)}")
     x0, x1 = x._phases()
     base = c.base != IDENTITY
     y0, y1 = [], []
@@ -216,7 +226,12 @@ def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
 def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
     """Exact inverse of apply_analysis: gain, steps undone in reverse, and
     the base's adjugate inverse, on dense windows.  Requires a unimodular
-    base, and raises NotUnimodular before any window is built."""
+    base, and raises NotUnimodular before any window is built; y must be a
+    pair of LaurentPolys, else InvalidArgument."""
+    if not (isinstance(y, (tuple, list)) and len(y) == 2
+            and all(isinstance(v, LaurentPoly) for v in y)):
+        raise InvalidArgument(f"apply_synthesis takes a pair of LaurentPoly channels, "
+                              f"got {_kind(y)}")
     inverse = c.base.inverse()
     base = inverse != IDENTITY
     y0, y1 = y

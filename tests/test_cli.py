@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from liftbank.cli import main
 from liftbank.errors import DuplicateTap, ParseError, ZeroTap
 from liftbank.formats import parse_bank, parse_cascade, print_bank, print_cascade
 from liftbank.laurent import LaurentPoly, _int_str, _str_int
-from liftbank.lifting import LiftingCascade, lower, upper
-from liftbank.polyphase import haar_bank
+from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
+from liftbank.polyphase import haar_bank, make_bank
 from liftbank.randgen import rand_hs_cascade, rand_ws_cascade
 
 F = Fraction
@@ -148,6 +149,94 @@ def test_long_tokens_clipped_in_errors(text, what, line):
 def test_signed_and_padded_tap_indices():
     h0 = parse_bank("h0:\ntap +3 1\ntap -2 1\ntap 007 1\nh1:\ntap 0 1\n").scalar_filter(0)
     assert h0 == LaurentPoly({3: 1, -2: 1, 7: 1})
+
+
+def ref_rational(tok, line):
+    """A number token read through Fraction, as the parser once did."""
+    m = re.fullmatch(r"([+-]?)([0-9]+)(?:/([0-9]+))?", tok)
+    if m is None:
+        raise ParseError("bad rational", line=line)
+    sign, p, q = m.groups()
+    try:
+        v = F(_str_int(p), _str_int(q) if q else 1)
+    except ZeroDivisionError:
+        raise ParseError("bad rational", line=line) from None
+    return -v if sign == "-" else v
+
+
+def ref_filter(taps, first_line):
+    """The filter of (index, token) tap lines numbered from first_line,
+    one Fraction per tap."""
+    coeffs = {}
+    for line, (n, tok) in enumerate(taps, start=first_line):
+        v = ref_rational(tok, line)
+        if n in coeffs:
+            raise DuplicateTap("listed twice", line=line)
+        if v == 0:
+            raise ZeroTap("zero", line=line)
+        coeffs[n] = v
+    return LaurentPoly(coeffs)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["2/4", "+3", "007", "-0", "1/0", "0/7", "-6/9", "+12/-3", "x",
+                     "1" * 4301, "-" + "3" * 4400 + "/" + "6" * 4305, "0" * 4301 + "5",
+                     "3/" + "0" * 4400]),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 40),
+              st.integers(0, 12)),
+    st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 40)))
+
+
+@st.composite
+def _tap_lines(draw):
+    """Tap lines as (index, index token, number token); the small index
+    range makes duplicates common, also between `-0`, `+0` and `000`."""
+    out = []
+    for n in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6)):
+        sign = "-" if n < 0 else draw(st.sampled_from(["", "+", "-"]) if n == 0 else
+                                      st.sampled_from(["", "+"]))
+        pad = draw(st.sampled_from(["", "00"]))
+        out.append((n, f"{sign}{pad}{abs(n)}", draw(_NUMBERS)))
+    return out
+
+
+def _outcome(fn):
+    """fn(), or the class and line of the ParseError it raised."""
+    try:
+        return fn()
+    except ParseError as exc:
+        return type(exc), exc.line
+
+
+def _block(taps):
+    return "".join(f"tap {tok} {num}\n" for _, tok, num in taps)
+
+
+class TestIntegerTapParsing:
+    """parse_bank and parse_cascade read taps as integer pairs; a reader
+    that makes one Fraction per tap gives the same filters, or the same
+    error class at the same line."""
+
+    @given(_tap_lines(), _tap_lines())
+    def test_bank_matches_fraction_reader(self, h0, h1):
+        text = "h0:\n" + _block(h0) + "h1:\n" + _block(h1)
+        taps0, taps1 = [(n, v) for n, _, v in h0], [(n, v) for n, _, v in h1]
+        want = _outcome(lambda: make_bank(ref_filter(taps0, 2),
+                                          ref_filter(taps1, len(h0) + 3)))
+        assert _outcome(lambda: parse_bank(text)) == want
+
+    @given(_NUMBERS, _tap_lines(), _tap_lines())
+    def test_cascade_matches_fraction_reader(self, scale, s0, s1):
+        text = f"scale {scale}\nstep U\n" + _block(s0) + "step L\n" + _block(s1)
+
+        def ref():
+            k = ref_rational(scale, 1)
+            if k == 0:
+                raise ParseError("scale must be nonzero", line=1)
+            f0 = ref_filter([(n, v) for n, _, v in s0], 3)
+            f1 = ref_filter([(n, v) for n, _, v in s1], len(s0) + 4)
+            return LiftingCascade(k, (LiftingStep(0, f0), LiftingStep(1, f1)))
+        assert _outcome(lambda: parse_cascade(text)) == _outcome(ref)
 
 
 class TestHugeRationals:

@@ -3,21 +3,23 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liftbank.errors import (DCZero, NotHSConcentric, NotIrreducible,
-                             NotUnimodular, NotWSDelayMinimized)
-from liftbank.factor import (dc_normalize, equivalent_mod_rescaling,
+from liftbank.errors import (DCZero, InvalidArgument, LiftbankError,
+                             NotHSConcentric, NotIrreducible, NotUnimodular,
+                             NotWSDelayMinimized)
+from liftbank.factor import (_peel, _stuck, dc_normalize, equivalent_mod_rescaling,
                              factor_euclidean, factor_hs, factor_ws,
                              laurent_divmod)
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_W, WA_ZERO,
                                   cascade_in_structure, check_order_increasing)
-from liftbank.laurent import LaurentPoly
+from liftbank.laurent import ZERO, LaurentPoly
 from liftbank.linsolve import solve_exact
-from liftbank.lifting import (LiftingCascade, lower, normalize_semidirect,
+from liftbank.lifting import (LiftingCascade, LiftingStep, lower, normalize_semidirect,
                               scaling_matrix, upper)
-from liftbank.polyphase import IDENTITY, PolyphaseMatrix, haar_bank, make_bank
+from liftbank.polyphase import (IDENTITY, PolyphaseMatrix, PolyphaseVector,
+                                analyze_filter, classify_bank, haar_bank, make_bank)
 from liftbank.randgen import (rand_dyadic_ws_cascade, rand_hs_cascade,
                               rand_poly, rand_ws_cascade)
 
@@ -269,6 +271,10 @@ class TestFactorEuclidean:
         with pytest.raises(NotUnimodular):
             factor_euclidean(PolyphaseMatrix.from_entries(1, 1, 1, 1))
 
+    def test_unknown_policy(self):
+        with pytest.raises(InvalidArgument, match="'C'"):
+            factor_euclidean(haar_bank(), "C")
+
 
 class TestEquivalence:
     def test_self(self):
@@ -294,3 +300,157 @@ class TestEquivalence:
         c = LiftingCascade(F(1), (upper(F(1)), upper(F(1))))
         with pytest.raises(NotIrreducible):
             equivalent_mod_rescaling(c, c)
+
+
+# ---------------------------------------------------------------------------
+# The integer peel and the deferred determinant
+
+
+def ref_peel(g, h, who, kind, error, what):
+    """The LaurentPoly peel that factor._peel replaced, kept as its
+    reference: each cancellation builds the generator, its upsampled
+    column and the updated filter as LaurentPolys."""
+    cls = classify_bank(h)
+    if cls.kind != kind:
+        raise error(f"{who} requires {what}")
+    two_d = (int(2 * cls.d0), int(2 * cls.d1))
+    e = [h.scalar_filter(0), h.scalar_filter(1)]
+    peeled = []
+    while True:
+        spans = [f.support() for f in e]
+        orders = [b - a for a, b in spans]
+        for i, (a, b) in enumerate(spans):
+            if a + b != two_d[i]:
+                raise _stuck(g, i, orders, "support not centred at the group delay")
+        if orders[0] == orders[1]:
+            return LiftingCascade(F(1), tuple(reversed(peeled)), make_bank(*e))
+        m = 0 if orders[0] > orders[1] else 1
+        lifted, other, small = e[m], e[1 - m], orders[1 - m]
+        spec = g.filter_spec(m)
+        s = ZERO
+        while lifted:
+            i = lifted.support()[1]
+            need = 2 * i - two_d[m] - small
+            if need <= 0:
+                break
+            gk = spec.basis(max(1, (need // 2 + 1) // 2))
+            if 2 * gk.order() != need:
+                raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
+            col = LaurentPoly._interleave(gk, ZERO) * other
+            u = lifted.coeff(i) / col.coeff(i)
+            s = s + gk.scale(u)
+            lifted = lifted - col.scale(u)
+        if lifted.is_zero() or lifted.order() > small:
+            raise _stuck(g, m, orders, "peel did not reduce the order")
+        e[m] = lifted
+        peeled.append(LiftingStep(m, s))
+
+
+PEELS = [(S_W, "factor_ws", "WS_DELAY_MINIMIZED", NotWSDelayMinimized,
+          "a delay-minimized WS bank"),
+         (S_H, "factor_hs", "HS_CONCENTRIC", NotHSConcentric, "a concentric HS bank")]
+FACTORIZERS = [factor_ws, factor_hs, lambda h: factor_hs(h, normalize_dc=True)]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the LiftbankError it raised;
+    any other exception fails the test."""
+    try:
+        return fn(*args)
+    except LiftbankError as exc:
+        return type(exc), str(exc)
+
+
+def _det_first(fn, h):
+    """The reference contract: the determinant is checked before anything."""
+    if not h.det_info().unimodular:
+        raise NotUnimodular("requires a unimodular bank")
+    return fn(h)
+
+
+@st.composite
+def _products(draw, wide=False):
+    """The product of a random S_W or S_H cascade; with wide, one step
+    may also carry a generator of support radius 4 to 10^6."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ws = draw(st.booleans())
+    gen = rand_ws_cascade(rng) if ws else rand_hs_cascade(rng)
+    if wide and gen.steps:
+        j = draw(st.integers(0, len(gen.steps) - 1))
+        s = gen.steps[j]
+        spec = (S_W if ws else S_H).filter_spec(s.m)
+        radius = draw(st.sampled_from([4, 9, 64, 10 ** 6]))
+        weight = F(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+        steps = list(gen.steps)
+        steps[j] = LiftingStep(s.m, s.filter + spec.basis(radius).scale(weight))
+        gen = LiftingCascade(gen.scale, tuple(steps), gen.base)
+    return gen.product()
+
+
+@st.composite
+def _perturbed(draw, bank):
+    """bank with one row times c (det c), one row delayed by k (det
+    z^-k), one filter zeroed (det 0), or a term of the same symmetry added
+    to one filter, which keeps the bank's class."""
+    rows = [bank.row0, bank.row1]
+    r = draw(st.integers(0, 1))
+    row = rows[r]
+    how = draw(st.sampled_from(["scale", "delay", "zero", "term"]))
+    if how == "scale":
+        rows[r] = row * draw(st.sampled_from([F(2), F(-1), F(1, 3), F(-5, 2), F(4, 7)]))
+    elif how == "delay":
+        k = draw(st.integers(-3, 3).filter(bool))
+        rows[r] = PolyphaseVector(row.comp0.shift(k), row.comp1.shift(k))
+    elif how == "zero":
+        rows[r] = PolyphaseVector(ZERO, ZERO)
+    else:
+        f = bank.scalar_filter(r)
+        a, b = f.support()
+        n = draw(st.integers(a - 4, b + 4))
+        sign = -1 if f.symmetry().kind in ("WA", "HA") else 1
+        u = F(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        rows[r] = analyze_filter(f + LaurentPoly({n: u}) + LaurentPoly({a + b - n: sign * u}))
+    return PolyphaseMatrix(*rows)
+
+
+class TestIntegerPeel:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_laurent_peel(self, data):
+        """The same peeled steps and base, or the same error and message,
+        on products (with wide generators) and on perturbed banks."""
+        h = data.draw(_products(wide=True))
+        if data.draw(st.booleans()):
+            h = data.draw(_perturbed(h))
+        for g, *rest in PEELS:
+            assert _outcome(_peel, g, h, *rest) == _outcome(ref_peel, g, h, *rest)
+
+
+class TestDeferredDeterminant:
+    """factor_ws and factor_hs check det h = 1 only on failure; every bank
+    that is not unimodular still raises NotUnimodular, ahead of the class
+    errors, and only LiftbankErrors escape."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_same_error_class_as_det_first(self, data):
+        h = data.draw(_perturbed(data.draw(_products())))
+        assume(not h.det_info().unimodular)
+        for fn in FACTORIZERS:
+            got, want = _outcome(fn, h), _outcome(_det_first, fn, h)
+            assert got[0] is want[0] is NotUnimodular
+
+    @pytest.mark.parametrize("h", [
+        PolyphaseMatrix.from_entries(1, 0, 0, 0),        # zero highpass: EmptySupport
+        PolyphaseMatrix.from_entries(2, 0, 0, 1),        # WS remainder not I
+        make_bank(LaurentPoly({-1: 1, 1: 1}),            # WS remainder, 1 / 0
+                  LaurentPoly({-2: 1, 0: 1})),
+        make_bank(LaurentPoly({-1: 1, 1: 1}),            # peel cancels h0 to zero
+                  LaurentPoly({-1: 1})),
+        PolyphaseMatrix.from_entries(0, 0, 0, 0),
+        PolyphaseMatrix.from_entries(F(1, 2), F(1, 2), 1, -1),  # Haar, det -1
+    ])
+    def test_named_cases(self, h):
+        for fn in FACTORIZERS:
+            with pytest.raises(NotUnimodular):
+                fn(h)

@@ -61,6 +61,11 @@ class TestGenerators:
             g = spec.basis(k)
             assert spec.member(g) and g.supprad() == k
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_no_generator_below_one(self, k):
+        with pytest.raises(InvalidArgument, match=f"got {k}"):
+            HS_PLUS.basis(k)
+
 
 class TestBaseAdmissible:
     def test_identity_for_ws(self):

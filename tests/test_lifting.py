@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liftbank.errors import BaseNotIdentity, NotIrreducible
+from liftbank.errors import BaseNotIdentity, InvalidArgument, NotIrreducible
 from liftbank.factor import _rescale, equivalent_mod_rescaling
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import (GroupWord, LiftingCascade, LiftingStep,
@@ -36,6 +36,11 @@ class TestStepMatrix:
 
     def test_trivial(self):
         assert upper(LaurentPoly.zero()).matrix() == IDENTITY
+
+    @pytest.mark.parametrize("m", [2, -1, 1.0])
+    def test_characteristic_is_0_or_1(self, m):
+        with pytest.raises(InvalidArgument, match=f"got {m}"):
+            LiftingStep(m, LaurentPoly.constant(1))
 
     def test_always_unimodular(self):
         rng = random.Random(0)

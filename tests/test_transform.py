@@ -395,6 +395,23 @@ class TestExactWindows:
             apply_synthesis(c, y)
 
 
+class TestExactInputs:
+    """The exact transforms take LaurentPoly signals and name what else
+    they got."""
+
+    @pytest.mark.parametrize("x, got", [({0: 1}, "dict"), (None, "NoneType")])
+    def test_analysis_refuses_other_types(self, x, got):
+        with pytest.raises(InvalidArgument, match=f"got {got}$"):
+            apply_analysis(LiftingCascade(), x)
+
+    @pytest.mark.parametrize("y, got", [
+        ({0: 1}, "dict"), (({0: 1}, {1: 2}), r"tuple of \(dict, dict\)"),
+        ((LaurentPoly({0: 1}),), r"tuple of \(LaurentPoly\)")])
+    def test_synthesis_refuses_other_types(self, y, got):
+        with pytest.raises(InvalidArgument, match=f"got {got}$"):
+            apply_synthesis(LiftingCascade(), y)
+
+
 class TestReversibleInputs:
     c = LiftingCascade(F(1), (lower(LaurentPoly({-1: F(-1, 2), 0: F(-1, 2)})),))
 
