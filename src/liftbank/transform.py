@@ -1,33 +1,38 @@
 """Apply lifting cascades to finitely supported signals.
 
-Both ladders run on dense windows: each channel is a Python list over one
-shared run of indices, and a step is a few list comprehensions over
-shifted slices.  Exact transforms keep each channel as integer numerators
-over one positive denominator; reversible mode runs integer channels with
-per-step rounding round(v) = floor(v + 1/2), giving bit-exact inversion.
-Sparse LaurentPolys and dicts appear only at the API boundary.
+Both ladders run on packed windows: a channel window is one int whose
+signed digits are its samples (Kronecker substitution), so that a step is
+a few big-integer shifts, sums and small multiples, each done in C.  Exact
+channels are integer numerators over one positive denominator; reversible
+mode floors the same numerators back to denominator 1 at every step,
+round(v) = floor(v + 1/2), which inverts bit-exactly.  Dicts and
+LaurentPolys appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
-from math import gcd, lcm
-from operator import index, itemgetter, sub
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import compress, count
+from math import lcm
+from operator import index, sub
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
 from .laurent import LaurentPoly
-from .lifting import LiftingCascade, _ladder
+from .lifting import LiftingCascade, _ladder, lower, scaling_matrix
 from .polyphase import IDENTITY, PolyphaseMatrix
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
+Channel = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# Dense windows
+# Packed windows
 
 
 def _radius(f: LaurentPoly) -> int:
@@ -41,160 +46,197 @@ def _reach(c: LiftingCascade) -> int:
     return max(map(_radius, c.base.entries())) + sum(_radius(s.filter) for s in c.steps)
 
 
-def _windows(y: Tuple[Mapping[int, int], Mapping[int, int]],
-             reach: int) -> Iterator[Tuple[int, List[List[int]]]]:
-    """The channel pair y as one pair of dense windows [w0, w1] per run of
-    its indices: yields (lo, [w0, w1]) per run, position p of a window
-    holding the channel's index lo + p.
-
-    Runs are cut where neighbouring indices are more than 2 * reach apart,
-    and each window pads its run by reach on both sides.  Whatever then
-    runs on the windows, if it moves a sample by at most reach, no index
-    receives contributions from two runs: the windows hold the same values
-    as one window over everything."""
-    keys = sorted(y[0].keys() | y[1].keys())
-    gap = 2 * reach
-    cuts = [i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap]
+def _windows(y: Tuple[Mapping[int, int], ...], reach: int) -> Iterator[Tuple[int, int, List[int]]]:
+    """The indices of y, one signal or a channel pair, as runs (lo, hi,
+    run): a run's sorted indices, its channel indices lo .. hi - 1.  Runs
+    are cut only where channel indices lie over 2 * reach apart, and each
+    window pads its run by reach on both sides: whatever moves a sample by
+    at most reach then gives the same values as one window over all."""
+    phases = 3 - len(y)
+    keys = sorted(y[0].keys() | y[1].keys() if len(y) > 1 else y[0])
+    gap = phases * (2 * reach + 1) - 1
+    holes = keys[-1] - keys[0] + 1 - len(keys) if keys else 0  # a cut needs gap of them
+    cuts = [i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap] if holes >= gap else []
     bounds = [0, *cuts, len(keys)] if keys else []
-    pad = [0] * reach
     for i, j in zip(bounds, bounds[1:]):
-        run = range(keys[i], keys[j - 1] + 1)
-        yield run.start - reach, [pad + list(map(ch.get, run, repeat(0))) + pad for ch in y]
+        yield keys[i] // phases, keys[j - 1] // phases + 1, keys[i:j]
 
 
-Column = Optional[Tuple[List[int], int]]
-Terms = List[Tuple[int, Column, Column]]
+def _limbs(raw: bytes, code: str) -> Sequence[int]:
+    """raw as 64-bit limbs of typecode code, read little-endian."""
+    if sys.byteorder == "little":
+        return memoryview(raw).cast(code)
+    limbs = array(code, raw)
+    limbs.byteswap()
+    return limbs
 
 
-def _shifts(parts: Iterable[Tuple[Dict[int, int], int, List[int]]]
-            ) -> Tuple[Terms, Callable[[Column], Iterable[int]]]:
-    """The sum over parts (num, factor, src) and taps n of
-    factor * num[n] times src shifted by n (position p reads src[p - n],
-    zero past src's ends), as (terms, col); the srcs are windows of one
-    length.
+class _Window:
+    """n samples as the signed digits of one int, sample p at bits [B * p,
+    B * (p + 1)) with B = 64 * j: the samples' polynomial at 2^B.  A channel
+    is (w, den), such a window w of numerators over den > 0.  Sums, digit
+    shifts and integer multiples of windows are exact whatever the digits;
+    only unpacking and the rounding floor read digits, which must then lie
+    in (-2^(B-2), 2^(B-2)): j is the fewest limbs that keep top, a _Bound
+    of every digit read, inside.  Digits shifted out below are zero,
+    because the window pads its run by the reach."""
 
-    Each term (t, a, b) adds t * (col(a) + col(b)): taps with equal
-    products t, such as a linear-phase filter's symmetric pairs or the
-    matching entries of a base row, share one term per pair.  A tap left
-    over is paired with one left over at -t, such as an antisymmetric
-    filter's mirror tap, through a negated copy of that tap's source, or
-    else with None, which col reads as zeros.  col slices only when
-    called, so that one comprehension per term keeps at most two shifted
-    copies alive."""
-    taps: Dict[int, List[Tuple[List[int], int]]] = {}
-    for num, factor, src in parts:
-        size = len(src)
-        r = max(max(num), -min(num))
-        ext = [0] * r + src + [0] * r
+    def __init__(self, n: int, top: int, rounding: bool):
+        self.j = j = (top.bit_length() + 65) // 64
+        self.bits = 64 * j
+        self.n = n
+        self.rounding = rounding
+        self.ones = int.from_bytes((b"\1" + bytes(8 * j - 1)) * n, "little")
+
+    def _pack(self, x: Mapping[int, int], run: List[int], start: int,
+              phases: int) -> List[int]:
+        """The windows of the phases channels that x interleaves, over the
+        indices run, from channel index start on: j two's-complement limbs
+        per sample, then each digit's sign restored by a bias of 2^(B-1)."""
+        j, get = self.j, x.get
+        if j == 1:
+            buf = array("q", [0]) * (phases * self.n)
+            for k in run:
+                buf[k - phases * start] = get(k, 0)
+            chans = [buf] if phases == 1 else [buf[i::phases] for i in range(phases)]
+            del buf
+            for ch in chans if sys.byteorder == "big" else ():
+                ch.byteswap()
+        else:
+            chans = [bytearray(8 * j * self.n) for _ in range(phases)]
+            for k in run:
+                p = 8 * j * (k // phases - start)
+                chans[k % phases][p:p + 8 * j] = get(k, 0).to_bytes(8 * j, "little", signed=True)
+        out = []
+        while chans:
+            u = int.from_bytes(chans.pop(0), "little")
+            high = self.ones << self.bits - 1
+            u ^= high
+            out.append(u - high)
+        return out
+
+    def _unpack(self, out: List[Channel]) -> List[Tuple[Sequence[int], int]]:
+        """The digits of each channel in out, emptying out so that one
+        packed window at a time is read: _pack's bias undone, then the
+        limbs read, the top one signed."""
+        j, high = self.j, self.ones << self.bits - 1
+        res = []
+        while out:
+            w, d = out.pop(0)
+            w += high
+            w ^= high
+            raw = w.to_bytes(8 * j * self.n, "little")
+            del w
+            vals = _limbs(raw, "q")[j - 1::j]
+            for k in range(j - 2, -1, -1):
+                vals = [v << 64 | lo for v, lo in zip(vals, _limbs(raw, "Q")[k::j])]
+            res.append((vals, d))
+        return res
+
+    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int, den: int = 1,
+              sign: int = 1) -> int:
+        """acc plus f * num[n] times src shifted up n digits, over the taps
+        n; taps with equal |f * num[n]|, such as a linear-phase filter's
+        pairs, share one multiple of src.  For den = 2^s > 1 each digit v
+        then becomes floor((v + h) / 2^s): h = den // 2 rounds, and h =
+        (den - 1) // 2 for sign = -1 undoes that rounding, as -floor((v +
+        h) / 2^s) = floor((-v + 2^s - 1 - h) / 2^s).  The bias 2^(B-2) makes
+        all digits non-negative for one shift; the mask drops the bits
+        shifted in from above, and the bias comes off again."""
+        b = self.bits
+        multiples: Dict[int, int] = {1: src}
         for n, t in num.items():
-            taps.setdefault(t * factor, []).append((ext, r - n))
-    terms: Terms = []
-    odd = {}
-    for t, cols in taps.items():
-        terms += [(t, a, b) for a, b in zip(cols[::2], cols[1::2])]
-        if len(cols) & 1:
-            odd[t] = cols[-1]
-    negated: Dict[int, List[int]] = {}
-    for t, a in odd.items():
-        if -t not in odd:
-            terms.append((t, a, None))
-        elif t > 0:
-            ext, k = odd[-t]
-            if id(ext) not in negated:
-                negated[id(ext)] = [-v for v in ext]
-            terms.append((t, a, (negated[id(ext)], k)))
+            t *= f
+            m = multiples.get(abs(t))
+            if m is None:
+                m = multiples[abs(t)] = src * abs(t)
+            m = m << b * n if n >= 0 else m >> -b * n
+            acc = acc + m if t > 0 else acc - m
+        if den > 1:
+            multiples = m = None
+            s, ones = den.bit_length() - 1, self.ones
+            acc += ones * ((1 << b - 2) + ((den - (sign < 0)) >> 1))
+            acc >>= s
+            acc &= (ones << b - s) - ones
+            acc -= ones << b - 2 - s
+        return acc
 
-    def col(c: Column) -> Iterable[int]:
-        return repeat(0) if c is None else c[0][c[1]:c[1] + size]
+    def _lift(self, dst: Channel, filt: LaurentPoly, src: Channel, sign: int) -> Channel:
+        """dst + sign * S * src with S = num / dS, over the denominator
+        L = lcm(den_dst, den_src * dS).  When rounding, both denominators
+        are 1 and S is dyadic, so L = dS, and _conv floors back to 1."""
+        num = filt._num
+        if not num:
+            return dst
+        (w, dd), (v, ds) = dst, src
+        ds *= filt._den
+        den = lcm(dd, ds)
+        f = den if self.rounding else 1
+        return self._conv(w * (den // dd), num, sign * (den // ds), v, f, sign), den // f
 
-    return terms, col
-
-
-def _nonzero(w: List[int], start: int, step: int = 1) -> Iterator[Tuple[int, int]]:
-    """The (index, value) pairs of window w's nonzero entries, position p
-    holding index start + step * p."""
-    return filter(itemgetter(1), zip(count(start, step), w))
-
-
-# ---------------------------------------------------------------------------
-# Exact rational transforms
-#
-# A channel is (w, den): a window w of integer numerators over one
-# positive denominator den.
-
-Channel = Tuple[List[int], int]
-
-
-def _reduced(w: List[int], den: int) -> Channel:
-    """The channel w / den with gcd(den, *w) divided out."""
-    g = gcd(den, *w)
-    return (w, den) if g == 1 else ([v // g for v in w], den // g)
-
-
-def _accumulate(acc: Iterable[int], fa: int, terms: Terms, col) -> List[int]:
-    """fa * acc plus the sum that _shifts gave as (terms, col)."""
-    (t, i, j), *rest = terms
-    if fa == 1:
-        acc = [a + t * (x + y) for a, x, y in zip(acc, col(i), col(j))]
-    else:
-        acc = [a * fa + t * (x + y) for a, x, y in zip(acc, col(i), col(j))]
-    for t, i, j in rest:
-        acc = [a + t * (x + y) for a, x, y in zip(acc, col(i), col(j))]
-    return acc
+    def _apply(self, m: PolyphaseMatrix, y: List[Channel]) -> List[Channel]:
+        """The 2x2 matrix m applied to the channel pair y: each output is a
+        sum of up to two window convolutions over their denominators' lcm."""
+        if m == IDENTITY:
+            return y
+        out = []
+        for row in (m.row0, m.row1):
+            parts = [(f, w, d * f._den) for f, (w, d) in zip((row.comp0, row.comp1), y) if f]
+            den = lcm(*(d for _, _, d in parts))
+            acc = 0
+            for f, w, d in parts:
+                acc = self._conv(acc, f._num, den // d, w)
+            out.append((acc, den))
+        return out
 
 
-def _exact_window_lift(dst: Channel, filt: LaurentPoly, src: Channel,
-                       sign: int) -> Channel:
-    """dst + sign * S * src, exactly.  With S = num / dS the sum has the
-    denominator L = lcm(den_dst, den_src * dS): dst's numerators times
-    L / den_dst plus sign * L / (den_src * dS) times num's shifted copies
-    of src's numerators."""
-    num = filt._num
-    if not num:
-        return dst
-    (w, dd), (v, ds) = dst, src
-    ds *= filt._den
-    den = lcm(dd, ds)
-    return _reduced(_accumulate(w, den // dd, *_shifts([(num, sign * (den // ds), v)])), den)
+class _Bound(_Window):
+    """The same stages on magnitudes: a channel (m, den) has no numerator
+    above m in absolute value, and top collects what the floor reads."""
+
+    def __init__(self, rounding: bool):
+        self.rounding = rounding
+        self.top = 0
+
+    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int, den: int = 1,
+              sign: int = 1) -> int:
+        acc += abs(f) * sum(map(abs, num.values())) * src
+        if den > 1:
+            self.top = max(self.top, acc + den)
+            acc = (acc >> den.bit_length() - 1) + 1
+        return acc
 
 
-def _window_apply(m: PolyphaseMatrix, y: List[Channel]) -> List[Channel]:
-    """The 2x2 matrix m applied to the channel pair y: each output channel
-    is the sum of up to two window convolutions over the lcm of their
-    denominators."""
-    size = len(y[0][0])
-    out = []
-    for row in (m.row0, m.row1):
-        parts = [(f, w, d * f._den) for f, (w, d) in zip((row.comp0, row.comp1), y) if f]
-        den = lcm(*(d for _, _, d in parts))
-        acc = [0] * size
-        if parts:
-            acc = _accumulate(acc, 1, *_shifts([(f._num, den // d, w) for f, w, d in parts]))
-        out.append(_reduced(acc, den))
-    return out
+def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, rounding: bool,
+         dens: Tuple[int, int] = (1, 1)) -> List[Tuple[Dict[int, int], int]]:
+    """c's analysis (sign = 1) of the signal y = (x,), or synthesis of the
+    channel pair y, integer numerators over dens: the other side, nonzero
+    numerators over one denominator per mapping.  A _Bound runs the stages
+    first to size the windows; a singular base raises before that."""
+    k = c.scale if sign > 0 else 1 / c.scale
+    gain = IDENTITY if k == 1 else scaling_matrix(k)
+    base = c.base if sign > 0 or rounding else c.base.inverse()    # reversible: base I
+    pre, steps, post = (base, c.steps, gain) if sign > 0 else (gain, c.steps[::-1], base)
 
+    def stages(win: _Window, v: List[Channel]) -> List[Channel]:
+        return win._apply(post, _ladder(steps, win._apply(pre, v), win._lift, sign))
 
-def _window_gain(k: Fraction, y: List[Channel]) -> List[Channel]:
-    """D_K on the channel pair y: channel 0 over K, channel 1 times K."""
-    if k == 1:
-        return y
-    out = []
-    for (w, d), q in zip(y, (1 / k, k)):
-        n = q.numerator
-        out.append(([v * n for v in w], d * q.denominator))
-    return out
-
-
-def _poly(parts: List[Tuple[int, int, Channel]]) -> LaurentPoly:
-    """The LaurentPoly whose samples the parts (start, step, (w, den))
-    hold, position p of w at index start + step * p; no index is in two
-    parts."""
-    den = lcm(*(d for _, _, (_, d) in parts))
-    num: Dict[int, int] = {}
-    for start, step, (w, d) in parts:
-        f = den // d
-        num.update(_nonzero(w if f == 1 else [v * f for v in w], start, step))
-    return LaurentPoly._reduced(num, den)
+    q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
+    tops = [max(map(abs, x.values()), default=0) for x in y for _ in range(3 - q)]
+    bound = _Bound(rounding)
+    out = stages(bound, list(zip(tops, dens)))
+    top = max(bound.top, *tops, *(m for m, _ in out))
+    odens = [lcm(*(d for _, d in out[g:g + q])) for g in range(0, 2, q)]
+    outs: List[Dict[int, int]] = [{} for _ in odens]
+    for lo, hi, run in _windows(y, reach):
+        win = _Window(hi - lo + 2 * reach, top, rounding)
+        out = stages(win, list(zip([w for x in y for w in win._pack(x, run, lo - reach, 3 - q)],
+                                   dens)))
+        for i, (vals, d) in enumerate(win._unpack(out)):
+            f = odens[i // q] // d
+            idx, nonzero = compress(count(q * (lo - reach) + i % q, q), vals), filter(None, vals)
+            outs[i // q].update(zip(idx, nonzero if f == 1 else map(f.__mul__, nonzero)))
+    return list(zip(outs, odens))
 
 
 def _kind(x) -> str:
@@ -204,44 +246,35 @@ def _kind(x) -> str:
     return type(x).__name__
 
 
+def _is_pair(y, cls) -> bool:
+    return isinstance(y, (tuple, list)) and len(y) == 2 and all(isinstance(v, cls) for v in y)
+
+
+# ---------------------------------------------------------------------------
+# Exact rational transforms
+
+
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
-    """Polyphase split, then base, steps and gain, on dense windows: the
+    """Polyphase split, then base, steps and gain, on packed windows: the
     ladder c.product() runs on the base's rows, so the result is exactly
     c.product() applied to the split signal.  Raises InvalidArgument if x
     is not a LaurentPoly."""
     if not isinstance(x, LaurentPoly):
         raise InvalidArgument(f"apply_analysis takes a LaurentPoly signal, got {_kind(x)}")
-    x0, x1 = x._phases()
-    base = c.base != IDENTITY
-    y0, y1 = [], []
-    for lo, (w0, w1) in _windows((x0._num, x1._num), _reach(c)):
-        y = [(w0, x0._den), (w1, x1._den)]
-        y = _window_apply(c.base, y) if base else y
-        v0, v1 = _window_gain(c.scale, _ladder(c.steps, y, _exact_window_lift))
-        y0.append((lo, 1, v0))
-        y1.append((lo, 1, v1))
-    return _poly(y0), _poly(y1)
+    y0, y1 = (LaurentPoly._reduced(*ch) for ch in _run(c, (x._num,), 1, False, (x._den,) * 2))
+    return y0, y1
 
 
 def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
     """Exact inverse of apply_analysis: gain, steps undone in reverse, and
-    the base's adjugate inverse, on dense windows.  Requires a unimodular
+    the base's adjugate inverse, on packed windows.  Requires a unimodular
     base, and raises NotUnimodular before any window is built; y must be a
     pair of LaurentPolys, else InvalidArgument."""
-    if not (isinstance(y, (tuple, list)) and len(y) == 2
-            and all(isinstance(v, LaurentPoly) for v in y)):
+    if not _is_pair(y, LaurentPoly):
         raise InvalidArgument(f"apply_synthesis takes a pair of LaurentPoly channels, "
                               f"got {_kind(y)}")
-    inverse = c.base.inverse()
-    base = inverse != IDENTITY
-    y0, y1 = y
-    out = []
-    for lo, (w0, w1) in _windows((y0._num, y1._num), _reach(c)):
-        v = _window_gain(1 / c.scale, [(w0, y0._den), (w1, y1._den)])
-        v = _ladder(reversed(c.steps), v, _exact_window_lift, -1)
-        v0, v1 = _window_apply(inverse, v) if base else v
-        out += [(2 * lo, 2, v0), (2 * lo + 1, 2, v1)]
-    return _poly(out)
+    (x, den), = _run(c, (y[0]._num, y[1]._num), -1, False, (y[0]._den, y[1]._den))
+    return LaurentPoly._reduced(x, den)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +312,8 @@ def _int_samples(x: Mapping[int, int]) -> Mapping[int, int]:
 def _int_split(x: Mapping[int, int]) -> IntSignalPair:
     """The polyphase channels x0[n] = x[2n], x1[n] = x[2n + 1] of x's
     nonzero samples, each checked by _int_sample."""
-    x0: IntSignal = {}
-    x1: IntSignal = {}
-    for k, v in _int_samples(x).items():
-        if v:
-            (x1 if k & 1 else x0)[k >> 1] = v
+    x = _int_samples(x)
+    x0, x1 = ({k >> 1: v for k, v in x.items() if v and k & 1 == i} for i in (0, 1))
     return x0, x1
 
 
@@ -295,64 +325,33 @@ def _check_reversible(c: LiftingCascade):
             raise NotDyadic("reversible mode requires dyadic lifting filters")
 
 
-def _window_lift(dst: List[int], filt: LaurentPoly, src: List[int],
-                 sign: int) -> List[int]:
-    """dst + sign * round(S * src), round(v) = floor(v + 1/2), on windows
-    over the same indices; src reads as zero past its ends.
-
-    S = num / 2^s, so round(S * src) = (num * src + h) >> s with h = 2^s // 2.
-    For sign = -1 the taps are negated and h becomes 2^s - 1 - h, because
-    -((v + h) >> s) = (-v + 2^s - 1 - h) >> s.  The sum runs over the
-    terms of _shifts; the first one also adds dst << s and the last one
-    shifts, since ((dst << s) + v) >> s = dst + (v >> s)."""
-    num = filt._num
-    if not num:
-        return dst
-    den = filt._den
-    s = den.bit_length() - 1
-    off = den >> 1 if sign > 0 else den - 1 - (den >> 1)
-    terms, col = _shifts([(num, sign, src)])
-    t, i, j = terms.pop()
-    if not terms:
-        return [d + ((t * (x + y) + off) >> s) for d, x, y in zip(dst, col(i), col(j))]
-    (t0, i0, j0), *mid = terms
-    acc = [(d << s) + t0 * (x + y) + off for d, x, y in zip(dst, col(i0), col(j0))]
-    for tk, ik, jk in mid:
-        acc = [v + tk * (x + y) for v, x, y in zip(acc, col(ik), col(jk))]
-    return [(v + t * (x + y)) >> s for v, x, y in zip(acc, col(i), col(j))]
-
-
 def _rounded_update(filt: LaurentPoly, src: IntSignal) -> IntSignal:
     """round(S * src) with round(v) = floor(v + 1/2), nonzero entries
     only: one lower step on the pair (src, 0)."""
-    out: IntSignal = {}
-    for lo, (w0, w1) in _windows((src, {}), _radius(filt)):
-        out.update(_nonzero(_window_lift(w1, filt, w0, 1), lo))
-    return out
+    return reversible_analysis(LiftingCascade(1, (lower(filt),)),
+                               {2 * n: v for n, v in src.items()})[1]
 
 
 def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPair:
-    """Integer-to-integer lifting ladder with per-step rounding."""
+    """Integer-to-integer lifting ladder with per-step rounding.  Raises
+    InvalidArgument if x is not a mapping of samples."""
+    if not isinstance(x, Mapping):
+        raise InvalidArgument(f"reversible_analysis takes a mapping of integer samples, "
+                              f"got {_kind(x)}")
     _check_reversible(c)
-    y0: IntSignal = {}
-    y1: IntSignal = {}
-    for lo, w in _windows(_int_split(x), _reach(c)):
-        w0, w1 = _ladder(c.steps, w, _window_lift)
-        y0.update(_nonzero(w0, lo))
-        y1.update(_nonzero(w1, lo))
+    (y0, _), (y1, _) = _run(c, (_int_samples(x),), 1, True)
     return y0, y1
 
 
 def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
-    """Bit-exact inverse of reversible_analysis."""
+    """Bit-exact inverse of reversible_analysis.  Raises InvalidArgument if
+    y is not a pair of mappings."""
+    if not _is_pair(y, Mapping):
+        raise InvalidArgument(f"reversible_synthesis takes a pair of integer channel "
+                              f"mappings, got {_kind(y)}")
     _check_reversible(c)
-    y = (_int_samples(y[0]), _int_samples(y[1]))
-    out: IntSignal = {}
-    for lo, w in _windows(y, _reach(c)):
-        w0, w1 = _ladder(reversed(c.steps), w, _window_lift, -1)
-        out.update(_nonzero(w0, 2 * lo, 2))
-        out.update(_nonzero(w1, 2 * lo + 1, 2))
-    return out
+    (x, _), = _run(c, (_int_samples(y[0]), _int_samples(y[1])), -1, True)
+    return x
 
 
 # ---------------------------------------------------------------------------

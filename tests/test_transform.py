@@ -199,14 +199,18 @@ def reach(c):
     return sum(max((abs(n) for n in s.filter.indices()), default=0) for s in c.steps)
 
 
-samples = st.integers(-300, 300)
+# Small samples, and samples just past 2^65 and 2^129 in magnitude, so
+# that packed windows need one, two and three 64-bit limbs per digit.
+samples = st.integers(-300, 300) | st.builds(lambda v, e, r: (v << e) + r,
+                                             st.integers(-300, 300).filter(bool),
+                                             st.sampled_from([65, 129]), st.integers(-300, 300))
 nonzero = samples.filter(bool)
 
 
 @st.composite
 def dyadic_cascades(draw):
     """K = 1 cascades of up to six dyadic steps of both characteristics,
-    denominators 1..2^6.  Half of them alternate and give every filter
+    denominators 1..2^6 and 2^100.  Half of them alternate and give every filter
     taps at both ends of its radius: only then does a sample spread by
     the whole reach R, so that two runs 2R apart meet."""
     full = draw(st.booleans())
@@ -221,7 +225,7 @@ def dyadic_cascades(draw):
         else:
             taps = draw(st.dictionaries(st.integers(-3, 3), st.integers(-40, 40),
                                         max_size=5))
-        e = draw(st.integers(0, 6))
+        e = draw(st.integers(0, 6) | st.just(100))
         filt = LaurentPoly({n: F(v, 2 ** e) for n, v in taps.items()})
         steps.append(LiftingStep(m, filt))
         m = 1 - m if full else draw(st.integers(0, 1))
@@ -300,9 +304,10 @@ def exact_reach(c):
         + reach(c)
 
 
-coeffs = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
-nonzero_coeffs = st.builds(F, st.integers(1, 40) | st.integers(-40, -1), st.integers(1, 12))
-rational_samples = st.builds(F, st.integers(-300, 300), st.sampled_from([1, 2, 3, 5, 6, 8, 9]))
+denominators = st.integers(1, 12) | st.just(2 ** 100)
+coeffs = st.builds(F, st.integers(-40, 40), denominators)
+nonzero_coeffs = st.builds(F, st.integers(1, 40) | st.integers(-40, -1), denominators)
+rational_samples = st.builds(F, samples, st.sampled_from([1, 2, 3, 5, 6, 8, 9]))
 hs_bases = st.builds(lambda seed, w: rand_equal_length_hs_base(random.Random(seed), width=w),
                      st.integers(0, 2 ** 32), st.integers(0, 2))
 
@@ -310,7 +315,7 @@ hs_bases = st.builds(lambda seed, w: rand_equal_length_hs_base(random.Random(see
 @st.composite
 def exact_cascades(draw):
     """Cascades of up to five steps whose filters have rational taps with
-    denominators 1..12 (zero filters included), a gain K != 1 and base I
+    denominators 1..12 and 2^100 (zero filters included), a gain K != 1 and base I
     or an equal-length HS base, whose Q is solved for and rarely dyadic.
     Half of them alternate and give every filter taps at both ends of its
     radius, so that a sample spreads by the whole reach."""
@@ -395,6 +400,26 @@ class TestExactWindows:
             apply_synthesis(c, y)
 
 
+class TestWideStep:
+    """One step with taps at -r and r + 1 spreads a short signal over a
+    window of about 4r samples; each direction of either ladder stays well
+    inside a second at r = 10^5."""
+
+    def test_round_trips(self):
+        r = 10 ** 5
+        c = LiftingCascade(F(1), (lower(LaurentPoly({-r: F(1, 2), r + 1: F(1, 2)})),))
+        x = {k: (k * 7919) % 23 - 11 for k in range(16)}
+        for analysis, synthesis, signal, back in (
+                (apply_analysis, apply_synthesis, LaurentPoly(x), LaurentPoly(x)),
+                (reversible_analysis, reversible_synthesis, x, {k: v for k, v in x.items() if v})):
+            t0 = time.perf_counter()
+            y = analysis(c, signal)
+            assert time.perf_counter() - t0 < 1
+            t0 = time.perf_counter()
+            assert synthesis(c, y) == back
+            assert time.perf_counter() - t0 < 1
+
+
 class TestExactInputs:
     """The exact transforms take LaurentPoly signals and name what else
     they got."""
@@ -419,6 +444,19 @@ class TestReversibleInputs:
     def test_analysis_refuses_non_integer_samples(self, v):
         with pytest.raises(NonIntegerInput):
             reversible_analysis(self.c, {0: 1, 1: v})
+
+    @pytest.mark.parametrize("x, got", [([1, 2, 3], r"list of \(int, int, int\)"),
+                                        (None, "NoneType")])
+    def test_analysis_refuses_other_types(self, x, got):
+        with pytest.raises(InvalidArgument, match=f"got {got}$"):
+            reversible_analysis(self.c, x)
+
+    @pytest.mark.parametrize("y, got", [
+        (({1: 1},), r"tuple of \(dict\)"), (None, "NoneType"), ({0: 1}, "dict"),
+        (({0: 1}, [1]), r"tuple of \(dict, list\)")])
+    def test_synthesis_refuses_other_types(self, y, got):
+        with pytest.raises(InvalidArgument, match=f"got {got}$"):
+            reversible_synthesis(self.c, y)
 
     def test_integer_valued_samples_pass(self):
         y = reversible_analysis(self.c, {0: 2.0, 1: F(6, 2), 2: True})
