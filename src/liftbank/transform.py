@@ -213,8 +213,7 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     channel pair y, integer numerators over dens: the other side, nonzero
     numerators over one denominator per mapping.  A _Bound runs the stages
     first to size the windows; a singular base raises before that."""
-    k = c.scale if sign > 0 else 1 / c.scale
-    gain = IDENTITY if k == 1 else scaling_matrix(k)
+    gain = IDENTITY if c.scale == 1 else scaling_matrix(c.scale if sign > 0 else 1 / c.scale)
     base = c.base if sign > 0 or rounding else c.base.inverse()    # reversible: base I
     pre, steps, post = (base, c.steps, gain) if sign > 0 else (gain, c.steps[::-1], base)
 
