@@ -42,20 +42,12 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load_bank(path: str):
-    return parse_bank(_read(path))
-
-
-def _load_cascade(path: str):
-    return parse_cascade(_read(path))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_classify(args) -> int:
-    h = _load_bank(args.bank)
+    h = parse_bank(_read(args.bank))
     cls = h.classify()
     det = h.det_info()
     print(f"class {cls.kind}")
@@ -78,7 +70,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    h = _load_bank(args.bank)
+    h = parse_bank(_read(args.bank))
     if args.structure == "ws":
         c = factor_ws(h)
     elif args.structure == "hs":
@@ -90,7 +82,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_product(args) -> int:
-    c = _load_cascade(args.cascade)
+    c = parse_cascade(_read(args.cascade))
     sys.stdout.write(print_bank(c.product()))
     return 0
 
@@ -105,7 +97,7 @@ def _print_order_increasing(c: LiftingCascade) -> bool:
 def cmd_verify(args) -> int:
     if not (args.order_increasing or args.structure or args.pr):
         args.usage_error("name a check: --order-increasing, --structure or --pr")
-    c = _load_cascade(args.cascade)
+    c = parse_cascade(_read(args.cascade))
     ok = True
     if args.order_increasing:
         ok = _print_order_increasing(c)
@@ -123,8 +115,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    c1 = _load_cascade(args.cascade1)
-    c2 = _load_cascade(args.cascade2)
+    c1 = parse_cascade(_read(args.cascade1))
+    c2 = parse_cascade(_read(args.cascade2))
     w = equivalent_mod_rescaling(c1, c2)
     if w is None:
         print("NOT-EQUIVALENT")
@@ -134,7 +126,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    c = _load_cascade(args.cascade)
+    c = parse_cascade(_read(args.cascade))
     rng = random.Random(args.seed)
     if args.reversible:
         x = {i: rng.randint(-255, 255) for i in range(args.length)}

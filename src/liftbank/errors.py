@@ -53,22 +53,17 @@ class BaseNotIdentity(LiftbankError):
 class InvalidArgument(LiftbankError):
     """An argument is out of range or of the wrong kind: zero trials, a
     policy, update characteristic or generator index that does not exist,
-    a tap index that is not an integer, or a signal that is not a
-    LaurentPoly."""
+    a tap index or shift that is not an integer, a coefficient that is not
+    a finite number, a step filter, cascade step, base or scale of the
+    wrong type, or a signal that is not a LaurentPoly."""
 
 
 class ParseError(LiftbankError):
     """Malformed bank or cascade file."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}"
-            if column is not None:
-                loc += f", column {column}"
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} at line {line}")
         self.line = line
-        self.column = column
 
 
 class DuplicateTap(ParseError):

@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .errors import (DCZero, EmptySupport, FactorizationStuck, InvalidArgument,
+from .errors import (DCZero, FactorizationStuck, InvalidArgument,
                      LiftbankError, NotHSConcentric, NotIrreducible, NotUnimodular,
                      NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _canonical, _muladd, _span
 from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _gain, _ladder,
                       normalize_semidirect)
 from .polyphase import IDENTITY, PolyphaseMatrix, classify_bank, make_bank
@@ -115,12 +114,6 @@ def _checked(out: LiftingCascade, h: PolyphaseMatrix) -> LiftingCascade:
     return out
 
 
-def _span(num: Dict[int, int]) -> Tuple[int, int]:
-    if not num:
-        raise EmptySupport("zero polynomial has empty support")
-    return min(num), max(num)
-
-
 def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
           error: type, what: str) -> LiftingCascade:
     """The start of factor_ws and factor_hs: check that h is a bank of
@@ -137,7 +130,8 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
     it exposes the next.  Each filter is a dict of integer numerators over
     one positive denominator, so a cancellation is lifted * otop - ltop *
     (sign * other shifted by 2n + other shifted by 2 mirror), otop and
-    ltop being the top taps of other and lifted, over den * otop.
+    ltop being the top taps of other and lifted, over den * otop: one
+    _muladd of other by that generator, reduced by _canonical.
     """
     cls = classify_bank(h)
     if cls.kind != kind:
@@ -160,45 +154,26 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
         small = orders[1 - m]
         otop = other[spans[1 - m][1]]
         spec = g.filter_spec(m)
-        weights = []  # (taps, numerator, denominator) of each generator's weight
+        weights = {}  # tap -> (numerator, denominator) of the step's filter
         while num:
             i = max(num)
             need = 2 * i - two_d[m] - small
             if need <= 0:
                 break
             # need == 1 gives k == 0; generator 1 then fails the check.
-            taps = n, mirror, sign = spec._taps(max(1, (need // 2 + 1) // 2))
+            n, mirror, sign = spec._taps(max(1, (need // 2 + 1) // 2))
             if 2 * (mirror - n) != need:
                 raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
             a, b = (otop, num[i]) if otop > 0 else (-otop, -num[i])
             if a != 1:
                 num = {k: v * a for k, v in num.items()}
             den *= a
-            weights.append((taps, sign * b * oden, den))
-            get, pop = num.get, num.pop
-            for shift, c in ((2 * n, sign * b), (2 * mirror, b)):
-                for k, v in other.items():
-                    k += shift
-                    v = get(k, 0) - c * v
-                    if v:
-                        num[k] = v
-                    else:
-                        pop(k, None)
-            if den != 1:
-                q = gcd(den, *num.values())
-                if q != 1:
-                    num = {k: v // q for k, v in num.items()}
-                    den //= q
+            weights[n], weights[mirror] = (sign * b * oden, den), (b * oden, den)
+            num, den = _canonical(_muladd(num, other, {2 * n: sign, 2 * mirror: 1}, -b), den)
         if not num or max(num) - min(num) > small:
             raise _stuck(g, m, orders, "peel did not reduce the order")
         e[m] = (num, den)
-        wden = lcm(*(d for _, _, d in weights))
-        s: Dict[int, int] = {}
-        for (n, mirror, sign), w, d in weights:
-            w *= wden // d
-            s[n] = w
-            s[mirror] = sign * w
-        peeled.append(LiftingStep(m, LaurentPoly._reduced(s, wden)))
+        peeled.append(LiftingStep(m, LaurentPoly._from_ratios(weights)))
 
 
 def _rescale(c: LiftingCascade, alpha: Fraction) -> LiftingCascade:

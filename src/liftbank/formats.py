@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DuplicateTap, ParseError, ZeroTap
 from .laurent import LaurentPoly, _fmt_fraction, _str_int
@@ -68,13 +67,6 @@ def _parse_tap(line: str, line_no: int, taps: dict):
     taps[n] = v
 
 
-def _filter(taps: Dict[int, Tuple[int, int]]) -> LaurentPoly:
-    """The filter with tap n = p/q for each n -> (p, q) of taps, over one
-    lcm of the q's."""
-    den = lcm(*{q for _, q in taps.values()})
-    return LaurentPoly._reduced({n: p * (den // q) for n, (p, q) in taps.items()}, den)
-
-
 # ---------------------------------------------------------------------------
 # Bank files
 
@@ -100,7 +92,7 @@ def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
             raise ParseError(f"unrecognized line {_clip(text)}", line=line_no)
     if "h0" not in filters or "h1" not in filters:
         raise ParseError("bank file needs both h0: and h1: sections", line=line)
-    return make_bank(_filter(filters["h0"]), _filter(filters["h1"]))
+    return make_bank(*(LaurentPoly._from_ratios(filters[k]) for k in ("h0", "h1")))
 
 
 def parse_bank(text: str) -> PolyphaseMatrix:
@@ -124,7 +116,7 @@ def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
 
 
 def parse_cascade(text: str) -> LiftingCascade:
-    scale = Fraction(1)
+    scale = None
     steps: List[Tuple[int, dict]] = []
     base = IDENTITY
     lines = _lines(text)
@@ -132,8 +124,8 @@ def parse_cascade(text: str) -> LiftingCascade:
         parts = line.split()
         keyword = parts[0]
         if keyword == "scale":
-            if steps:
-                raise ParseError("scale must come before the steps", line=line_no)
+            if steps or scale is not None:
+                raise ParseError("scale must come once, before the steps", line=line_no)
             if len(parts) != 2:
                 raise ParseError("scale line must be `scale <p>[/<q>]`", line=line_no)
             p, q = _parse_rational(parts[1], line_no)
@@ -157,8 +149,8 @@ def parse_cascade(text: str) -> LiftingCascade:
     for i, (m, taps) in enumerate(steps):
         if not taps:
             raise ParseError(f"step {i} has no taps")
-        lifting_steps.append(LiftingStep(m, _filter(taps)))
-    return LiftingCascade(scale, tuple(lifting_steps), base)
+        lifting_steps.append(LiftingStep(m, LaurentPoly._from_ratios(taps)))
+    return LiftingCascade(scale or Fraction(1), tuple(lifting_steps), base)
 
 
 def print_cascade(c: LiftingCascade) -> str:

@@ -24,15 +24,33 @@ _set = object.__setattr__
 
 def _canonical(num: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
     """num / den with the zero numerators dropped and gcd(den, *num) divided out."""
-    if 0 in num.values():
-        num = {n: v for n, v in num.items() if v}
-    if not num:
-        return num, 1
-    g = gcd(den, *num.values()) if den != 1 else 1
+    g = gcd(den, *num.values()) if den != 1 else 1  # zeros do not change it
     if g != 1:
-        num = {n: v // g for n, v in num.items()}
+        num = {n: v // g for n, v in num.items() if v}
         den //= g
-    return num, den
+    elif 0 in num.values():
+        num = {n: v for n, v in num.items() if v}
+    return (num, den) if num else (num, 1)
+
+
+def _muladd(c: Dict[int, int], a: Dict[int, int], b: Dict[int, int], f: int) -> Dict[int, int]:
+    """c += f * a * b on integer numerator dicts, in place; zero numerators
+    stay in c for the caller's _canonical.  Returns c."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = c.get
+    for m, w in b.items():
+        w *= f
+        for n, v in a.items():
+            k = n + m
+            c[k] = get(k, 0) + v * w
+    return c
+
+
+def _span(num: Dict[int, int]) -> Tuple[int, int]:
+    if not num:
+        raise EmptySupport("zero polynomial has empty support")
+    return min(num), max(num)
 
 
 # Exact rationals <-> text, for str() here and for the file formats and the
@@ -106,7 +124,8 @@ class LaurentPoly:
     only the public constructor converts values through `Fraction`.  It
     takes each index through `operator.index`, so `int` and `bool` pass,
     and refuses any other (`1.5`, `2.0`, `'7'`, `None`) with
-    InvalidArgument, because the keys of `_num` are read as ints.
+    InvalidArgument, because the keys of `_num` are read as ints.  So is
+    a coefficient that is a str, None, NaN or infinite.
     """
 
     __slots__ = ("_num", "_den")
@@ -119,7 +138,14 @@ class LaurentPoly:
                 n = index(n)
             except TypeError:
                 raise InvalidArgument(f"tap index {n!r} is not an integer") from None
-            v = v if type(v) is int else Fraction(v)
+            if type(v) is not int:
+                try:
+                    if isinstance(v, str):  # Fraction would parse it
+                        raise TypeError
+                    v = Fraction(v)
+                except (TypeError, ValueError, OverflowError):
+                    raise InvalidArgument(f"coefficient {v!r} at tap {n} is not "
+                                          f"a finite number") from None
             if v:
                 terms.append((n, v))
         den = lcm(*{v.denominator for _, v in terms})
@@ -142,6 +168,12 @@ class LaurentPoly:
     def _reduced(cls, num: Dict[int, int], den: int) -> "LaurentPoly":
         """num / den for any integer numerators and den > 0."""
         return cls._make(*_canonical(num, den))
+
+    @classmethod
+    def _from_ratios(cls, taps: Mapping[int, Tuple[int, int]]) -> "LaurentPoly":
+        """Tap n = p/q for each n -> (p, q), q > 0, over one lcm of the q's."""
+        den = lcm(*{q for _, q in taps.values()})
+        return cls._reduced({n: p * (den // q) for n, (p, q) in taps.items()}, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -191,9 +223,7 @@ class LaurentPoly:
 
     def support(self) -> Tuple[int, int]:
         """Support interval [a, b]; raises EmptySupport on the zero polynomial."""
-        if not self._num:
-            raise EmptySupport("zero polynomial has empty support")
-        return min(self._num), max(self._num)
+        return _span(self._num)
 
     def order(self) -> int:
         a, b = self.support()
@@ -206,21 +236,10 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._combine(other, 1)
+        return self._add_product(other, ONE, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other over the lcm of the two denominators."""
-        da, db = self._den, other._den
-        den = da if da == db else lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        c = dict(self._num) if fa == 1 else {n: v * fa for n, v in self._num.items()}
-        get = c.get
-        for n, v in other._num.items():
-            c[n] = get(n, 0) + v * fb
-        return LaurentPoly._reduced(c, den)
+        return self._add_product(other, ONE, -1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({n: -v for n, v in self._num.items()}, self._den)
@@ -228,36 +247,17 @@ class LaurentPoly:
     def __mul__(self, other: Union["LaurentPoly", Rational]) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        long, short = self._num, other._num
-        if len(long) < len(short):
-            long, short = short, long
-        c: Dict[int, int] = {}
-        get = c.get
-        for m, w in short.items():
-            for n, v in long.items():
-                k = n + m
-                c[k] = get(k, 0) + v * w
-        return LaurentPoly._reduced(c, self._den * other._den)
+        return ZERO._add_product(self, other, 1)
 
     def _add_product(self, a: "LaurentPoly", b: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * a * b in one pass over lcm(den, den_a * den_b),
-        canonicalized once."""
+        """self + sign * a * b by one _muladd over lcm(den, den_a * den_b)."""
         if not a._num or not b._num:
             return self
         dp = a._den * b._den
         den = lcm(self._den, dp)
-        fs, fp = den // self._den, sign * (den // dp)
+        fs = den // self._den
         c = dict(self._num) if fs == 1 else {n: v * fs for n, v in self._num.items()}
-        get = c.get
-        long, short = a._num, b._num
-        if len(long) < len(short):
-            long, short = short, long
-        for m, w in short.items():
-            w *= fp
-            for n, v in long.items():
-                k = n + m
-                c[k] = get(k, 0) + v * w
-        return LaurentPoly._reduced(c, den)
+        return LaurentPoly._reduced(_muladd(c, a._num, b._num, sign * (den // dp)), den)
 
     def __rmul__(self, other: Rational) -> "LaurentPoly":
         return self.scale(other)
@@ -269,7 +269,11 @@ class LaurentPoly:
                                     self._den * k.denominator)
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by z^(-k), i.e. delay the impulse response by k."""
+        """Multiply by z^(-k), i.e. delay the impulse response by an integer k."""
+        try:
+            k = index(k)
+        except TypeError:
+            raise InvalidArgument(f"shift {k!r} is not an integer") from None
         return LaurentPoly._make({n + k: v for n, v in self._num.items()}, self._den)
 
     def reflect(self) -> "LaurentPoly":

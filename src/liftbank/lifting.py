@@ -6,6 +6,7 @@ matrix product it reads D_K * S_{N-1} ... S_0 * B.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -26,6 +27,9 @@ class LiftingStep:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m not in (0, 1):
             raise InvalidArgument(f"update characteristic must be 0 or 1, got {self.m!r}")
+        if not isinstance(self.filter, LaurentPoly):
+            raise InvalidArgument(f"step filter must be a LaurentPoly, got "
+                                  f"{type(self.filter).__name__}")
 
     def matrix(self) -> PolyphaseMatrix:
         if self.m == 0:
@@ -104,8 +108,16 @@ class LiftingCascade:
     base: PolyphaseMatrix = field(default_factory=PolyphaseMatrix.identity)
 
     def __post_init__(self):
+        if not isinstance(self.scale, numbers.Rational):
+            raise InvalidArgument(f"scale must be a rational number, got {self.scale!r}")
         object.__setattr__(self, "scale", Fraction(self.scale))
         object.__setattr__(self, "steps", tuple(self.steps))
+        for s in self.steps:
+            if not isinstance(s, LiftingStep):
+                raise InvalidArgument(f"cascade step must be a LiftingStep, got {type(s).__name__}")
+        if not isinstance(self.base, PolyphaseMatrix):
+            raise InvalidArgument(f"cascade base must be a PolyphaseMatrix, got "
+                                  f"{type(self.base).__name__}")
         if not self.scale:
             raise ZeroDivisionError("scaling factor must be nonzero")
 

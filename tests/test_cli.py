@@ -76,6 +76,11 @@ class TestCascadeFormat:
         with pytest.raises(ParseError):
             parse_cascade("step U\ntap 0 1\nscale 2\n")
 
+    def test_scale_only_once(self):
+        with pytest.raises(ParseError, match="scale must come once") as e:
+            parse_cascade("scale 2\nscale 3\nstep U\ntap 0 1\n")
+        assert e.value.line == 2
+
     def test_tap_needs_step(self):
         with pytest.raises(ParseError):
             parse_cascade("tap 0 1\n")

@@ -1,6 +1,7 @@
 """Hygiene of the library modules, checked on their syntax trees:
-imports sit at module level, every imported name is used, and no module
-multiplies matrices with `@`."""
+imports sit at module level, every imported name is used, no module
+multiplies matrices with `@`, and integer numerators are reduced in
+`laurent` alone."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,21 @@ def test_no_matrix_product_operator(path):
     lines = [node.lineno for node in ast.walk(tree(path))
              if isinstance(getattr(node, "op", None), ast.MatMult)]
     assert not lines, f"{path.name}: `@` at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_reduction_stays_in_laurent(path):
+    # The gcd reduction and the lcm tap builder live behind laurent's
+    # _canonical and _from_ratios; the peel and the parsers call those.
+    nodes = list(ast.walk(tree(path)))
+    from_math = {alias.name for node in nodes
+                 if isinstance(node, ast.ImportFrom) and node.module == "math"
+                 for alias in node.names}
+    if any(isinstance(node, ast.Import) and any(a.name == "math" for a in node.names)
+           for node in nodes):
+        from_math |= {"math"} | {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                                 and getattr(node.value, "id", None) == "math"}
+    if path.name in ("factor.py", "formats.py"):
+        assert not from_math, f"{path.name}: uses {sorted(from_math)} from math"
+    elif path.name != "laurent.py":
+        assert "gcd" not in from_math, f"{path.name}: uses gcd"

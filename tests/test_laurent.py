@@ -201,6 +201,16 @@ class TestIndices:
         assert p == LaurentPoly({1: 2, 0: 1, 10 ** 30: -1})
         assert all(type(n) is int for n in p.indices())
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "1", None, F(1, 2)], ids=repr)
+    def test_shift_refuses_non_integers(self, k):
+        with pytest.raises(InvalidArgument, match=re.escape(f"shift {k!r} is not an integer")):
+            LaurentPoly({0: 1}).shift(k)
+
+    def test_shift_takes_int_and_bool(self):
+        p = LaurentPoly({0: 1, 2: F(1, 3)})
+        assert p.shift(True) == p.shift(1) == LaurentPoly({1: 1, 3: F(1, 3)})
+        assert all(type(n) is int for n in p.shift(True).indices())
+
 
 class TestStr:
     def test_huge_rationals(self):

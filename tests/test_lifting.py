@@ -50,6 +50,37 @@ class TestStepMatrix:
             assert scaling_matrix(F(rng.randint(1, 9), rng.randint(1, 9))).is_unimodular
 
 
+# Core constructors refuse what they cannot hold at once, instead of
+# failing later (a step's filter in product(), a parsed str scale).
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPoly({0: "1/2"}),
+    lambda: LaurentPoly({0: "x"}),
+    lambda: LaurentPoly({0: 1, 1: None}),
+    lambda: LaurentPoly([(0, float("nan"))]),
+    lambda: LaurentPoly({0: float("inf")}),
+    lambda: LaurentPoly({0: -float("inf")}),
+    lambda: LiftingStep(0, F(1)),
+    lambda: LiftingStep(1, {0: 1}),
+    lambda: LiftingCascade("x"),
+    lambda: LiftingCascade("1/2"),
+    lambda: LiftingCascade(0.5),
+    lambda: LiftingCascade(1, (upper(1), "step")),
+    lambda: LiftingCascade(1, (), haar_bank().row0),
+], ids=["coeff-str", "coeff-text", "coeff-none", "coeff-nan", "coeff-inf",
+        "coeff-minus-inf", "step-fraction", "step-dict", "scale-text",
+        "scale-ratio-text", "scale-float", "cascade-step-str", "base-row"])
+def test_constructors_refuse_wrong_kinds(build):
+    with pytest.raises(InvalidArgument):
+        build()
+
+
+def test_constructors_take_numbers():
+    assert LaurentPoly({0: 0.5, 1: F(1, 3), 2: 2, 3: True}) == \
+        LaurentPoly({0: F(1, 2), 1: F(1, 3), 2: 2, 3: 1})
+    assert LiftingCascade(2, (upper(1),)).scale == 2
+    assert LiftingCascade(F(1, 2), (), haar_bank()).base == haar_bank()
+
+
 class TestCascadeProduct:
     def test_haar_scaled(self):
         assert haar_scaled().product() == haar_bank()
