@@ -15,13 +15,35 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import DuplicateTap, ParseError, ZeroTap
-from .laurent import LaurentPoly, _fmt_fraction, _str_int
+from .laurent import _CHUNK_DIGITS, LaurentPoly, _fmt_fraction, _str_int
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 _INDEX = re.compile(r"[+-]?[0-9]+")
+
+# The one-pass reader: a file as the printers write it, give or take
+# comments, blank lines, spaces, tabs, `+` signs and CRLF, is matched whole
+# by _BANK or _CASCADE (no zero number, no digit run that int() could
+# refuse), and its taps are read off _TAP's groups.  Other text, every error
+# included, goes to the line reader below, which numbers the lines.  A text
+# matches in at most one way, so a mismatch costs linear time; comments and
+# names hold no line break that str.splitlines knows.
+_FREE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"
+_EOL = r"(?:\r?\n|\Z)"
+_END = rf"[ \t]*(?:#{_FREE}*)?{_EOL}"           # the rest of a line
+_DIGITS = rf"[0-9]{{1,{_CHUNK_DIGITS}}}"
+_NONZERO = rf"(?=0*[1-9]){_DIGITS}"
+_TAPS = rf"(?:[ \t]*tap[ \t]+[+-]?{_DIGITS}[ \t]+[+-]?{_NONZERO}(?:/{_NONZERO})?{_END}|{_END})*"
+_BODY = rf"[ \t]*h0:{_END}(?P<h0>{_TAPS})[ \t]*h1:{_END}(?P<h1>{_TAPS})"
+_BANK = re.compile(rf"(?:{_END})*(?:[ \t]*bank(?:[ \t]{_FREE}*)?{_EOL}(?:{_END})*)?{_BODY}")
+_CASCADE = re.compile(rf"(?:{_END})*(?:[ \t]*scale[ \t]+(?P<p>[+-]?{_NONZERO})"
+                      rf"(?:/(?P<q>{_NONZERO}))?{_END}(?:{_END})*)?"
+                      rf"(?P<steps>(?:[ \t]*step[ \t]+[UL]{_END}{_TAPS})*)"
+                      rf"(?:[ \t]*base:{_END}(?:{_END})*{_BODY})?")
+_TAP = re.compile(r"^[ \t]*tap[ \t]+([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)(?:/([0-9]+))?", re.M)
+_STEP = re.compile(r"^[ \t]*step[ \t]+([UL])", re.M)
 
 
 def _clip(text: str, keep: int = 40) -> str:
@@ -95,8 +117,23 @@ def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
     return make_bank(*(LaurentPoly._from_ratios(filters[k]) for k in ("h0", "h1")))
 
 
+def _block(text: str) -> Optional[LaurentPoly]:
+    """The filter of tap lines that _BANK or _CASCADE matched, or None if
+    a tap repeats, which the line reader reports."""
+    found = _TAP.findall(text)
+    taps = {int(n): (int(p), int(q or 1)) for n, p, q in found}
+    return LaurentPoly._from_ratios(taps) if len(taps) == len(found) else None
+
+
+def _match_bank(m: re.Match) -> Optional[PolyphaseMatrix]:
+    """The bank of a _BANK or _CASCADE match, or None if a tap repeats."""
+    h = [_block(m["h0"]), _block(m["h1"])]
+    return None if None in h else make_bank(*h)
+
+
 def parse_bank(text: str) -> PolyphaseMatrix:
-    return _read_bank(_lines(text))
+    m = _BANK.fullmatch(text)
+    return (m and _match_bank(m)) or _read_bank(_lines(text))
 
 
 def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
@@ -116,6 +153,18 @@ def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
 
 
 def parse_cascade(text: str) -> LiftingCascade:
+    m = _CASCADE.fullmatch(text)
+    if m:
+        blocks = _STEP.split(m["steps"])[1:]        # U or L, then its tap lines
+        filters = [_block(b) for b in blocks[1::2]]
+        base = IDENTITY if m["h0"] is None else _match_bank(m)
+        if base and all(filters):                   # else a repeated tap or an empty step
+            steps = tuple(LiftingStep("UL".index(u), f) for u, f in zip(blocks[::2], filters))
+            return LiftingCascade(Fraction(int(m["p"] or 1), int(m["q"] or 1)), steps, base)
+    return _read_cascade(text)
+
+
+def _read_cascade(text: str) -> LiftingCascade:
     scale = None
     steps: List[Tuple[int, dict]] = []
     base = IDENTITY

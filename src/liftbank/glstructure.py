@@ -6,12 +6,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidArgument, NotAdmissible, NotIrreducible
-from .laurent import LaurentPoly, SymmetryTag
+from .laurent import LaurentPoly, SymmetryTag, _span
 from .lifting import LiftingCascade, LiftingStep
-from .polyphase import IDENTITY, PolyphaseMatrix
+from .polyphase import IDENTITY, PolyphaseMatrix, _hull
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,61 @@ def check_order_increasing(c: LiftingCascade) -> Tuple[bool, List[int]]:
     """
     if not c.is_irreducible:
         raise NotIrreducible("order-increase check requires an irreducible cascade")
-    orders = [e.order() for e in c.intermediates()]
+    orders = [b - a for a, b in (_hull(e, "zero matrix") for e in _partial_ends(c))]
     ok = all(b > a for a, b in zip(orders, orders[1:]))
     return ok, orders
+
+
+def _tips(num: Dict[int, int], f: int = 1) -> Optional[tuple]:
+    """The end taps of the numerators num, times f: (lowest index, highest
+    index, numerator at the lowest, numerator at the highest), None for {}."""
+    if not num:
+        return None
+    lo, hi = _span(num)
+    return lo, hi, num[lo] * f, num[hi] * f
+
+
+def _ends(m: PolyphaseMatrix) -> List[Optional[tuple]]:
+    """The end taps of m's entries, over the lcm of their denominators."""
+    den = lcm(*(x._den for x in m.entries()))
+    return [_tips(x._num, den // x._den) for x in m.entries()]
+
+
+def _meet(d: tuple, p: tuple) -> Optional[tuple]:
+    """The end taps of d + p, or None where two ends that meet cancel."""
+    lo, hi, a, b = p
+    if d[0] < lo:
+        lo, a = d[0], d[2]
+    elif d[0] == lo:
+        a += d[2]
+    if d[1] > hi:
+        hi, b = d[1], d[3]
+    elif d[1] == hi:
+        b += d[3]
+    return (lo, hi, a, b) if a and b else None
+
+
+def _partial_ends(c: LiftingCascade) -> List[List[Optional[tuple]]]:
+    """_ends(E) for the partial products E of c.intermediates(), unmultiplied.
+
+    Over Q the end taps of S * e are the products of the factors' end taps,
+    so a step e_m += S e_(1-m) moves each entry's ends in O(1).  Only a sum
+    whose ends meet can lose a tap, and then its new end is unknown: on such
+    a cancellation the partial products are multiplied out after all."""
+    out = [_ends(c.base)]
+    for s in c.steps:
+        lo, hi, a, b = _tips(s.filter._num)
+        f, e = s.filter._den, out[-1]   # S's taps are over f: so is the product with e
+        new = [x and (x[0], x[1], x[2] * f, x[3] * f) for x in e] if f != 1 else list(e)
+        for k in (2 * s.m, 2 * s.m + 1):  # row m; e[k ^ 2] is the same column of row 1 - m
+            src = e[k ^ 2]
+            if src:
+                p = lo + src[0], hi + src[1], a * src[2], b * src[3]
+                new[k] = p if new[k] is None else _meet(new[k], p)
+                if new[k] is None:
+                    return [_ends(m) for m in c.intermediates()]
+        out.append(new)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,8 +198,8 @@ def ws_radii(c: LiftingCascade) -> RadiiReport:
 
     Predicted radii follow r(lifted) = r(other) + 2t - 1 with the other
     channel carried over from the previous step; measured radii come from
-    the scalar filters of the partial products, whose support intervals
-    are checked to be centered at 0 and -1.
+    the supports of the partial products' scalar filters, read off their
+    end taps (_partial_ends) and checked to be centered at 0 and -1.
     """
     if not c.is_irreducible:
         raise NotIrreducible("radius recursion requires an irreducible cascade")
@@ -155,21 +208,21 @@ def ws_radii(c: LiftingCascade) -> RadiiReport:
 
     r = [0, 0]  # predicted radii per channel
     report = []
-    inter = c.intermediates()
+    inter = _partial_ends(c)
     for n, s in enumerate(c.steps):
         t = s.filter.supprad()
         r[s.m] = r[1 - s.m] + 2 * t - 1
         e = inter[n + 1]
         measured = []
-        for i in (0, 1):
-            f = e.scalar_filter(i)
-            a, b = f.support()
-            rad = f.supprad()
+        for i in (0, 1):    # row i's scalar filter f: f(2n) = e[2i](n), f(2n - 1) = e[2i + 1](n)
+            row = [x and (2 * x[0] - j, 2 * x[1] - j) for j, x in enumerate(e[2 * i:2 * i + 2])]
+            a, b = _hull(row, "zero polynomial has empty support")
+            rad = (b - a + 1) // 2
             if (a, b) != (-rad - i, rad - i):
                 raise NotAdmissible(f"intermediate filter {i} not centered at {-i}")
             measured.append(rad)
-        report.append(RadiiStep(n, t, r[0], r[1], measured[0], measured[1],
-                                e.order()))
+        lo, hi = _hull(e, "zero matrix")
+        report.append(RadiiStep(n, t, r[0], r[1], measured[0], measured[1], hi - lo))
     return RadiiReport(tuple(report))
 
 

@@ -93,9 +93,23 @@ def _fmt_fraction(v: Fraction) -> str:
 _EVAL_MAX_BITS = 1 << 20
 
 
+def _rational(v, tap: Optional[int] = None) -> Fraction:
+    """v as a Fraction, or InvalidArgument unless v is a finite number: a str
+    (which Fraction would parse), None, NaN or an infinity; tap is v's tap."""
+    if type(v) is Fraction:   # immutable: no copy
+        return v
+    if not isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    what = f"scalar {v!r}" if tap is None else f"coefficient {v!r} at tap {tap}"
+    raise InvalidArgument(f"{what} is not a finite number")
+
+
 def is_dyadic(q: Rational) -> bool:
     """True iff q has a power-of-two denominator (integers included)."""
-    den = Fraction(q).denominator
+    den = _rational(q).denominator
     return den & (den - 1) == 0
 
 
@@ -139,13 +153,7 @@ class LaurentPoly:
             except TypeError:
                 raise InvalidArgument(f"tap index {n!r} is not an integer") from None
             if type(v) is not int:
-                try:
-                    if isinstance(v, str):  # Fraction would parse it
-                        raise TypeError
-                    v = Fraction(v)
-                except (TypeError, ValueError, OverflowError):
-                    raise InvalidArgument(f"coefficient {v!r} at tap {n} is not "
-                                          f"a finite number") from None
+                v = _rational(v, n)
             if v:
                 terms.append((n, v))
         den = lcm(*{v.denominator for _, v in terms})
@@ -263,7 +271,7 @@ class LaurentPoly:
         return self.scale(other)
 
     def scale(self, k: Rational) -> "LaurentPoly":
-        k = Fraction(k)
+        k = _rational(k)
         p = k.numerator
         return LaurentPoly._reduced({n: v * p for n, v in self._num.items()},
                                     self._den * k.denominator)
@@ -303,7 +311,7 @@ class LaurentPoly:
 
     def __call__(self, z0: Rational) -> Fraction:
         """Exact evaluation at a nonzero rational point."""
-        z0 = Fraction(z0)
+        z0 = _rational(z0)
         if not z0:
             raise ZeroDivisionError("cannot evaluate at z = 0")
         if self._num and abs(z0) != 1:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import BaseNotIdentity, InvalidArgument, NotIrreducible
-from .laurent import LaurentPoly, Rational, is_dyadic
+from .laurent import LaurentPoly, Rational, _rational, is_dyadic
 from .polyphase import IDENTITY, PolyphaseMatrix, PolyphaseVector
 
 
@@ -42,7 +42,7 @@ class LiftingStep:
     def conjugate(self, k: Rational) -> "LiftingStep":
         """gamma_K applied to this step: upper filters scale by K^-2,
         lower by K^2."""
-        k = Fraction(k)
+        k = _rational(k)
         factor = 1 / k ** 2 if self.m == 0 else k ** 2
         return LiftingStep(self.m, self.filter.scale(factor))
 
@@ -59,7 +59,7 @@ def lower(s: Union[LaurentPoly, Rational]) -> LiftingStep:
 
 def scaling_matrix(k: Rational) -> PolyphaseMatrix:
     """The unimodular gain-scaling matrix D_K = diag(1/K, K)."""
-    k = Fraction(k)
+    k = _rational(k)
     if not k:
         raise ZeroDivisionError("scaling factor must be nonzero")
     return PolyphaseMatrix.diagonal(1 / k, k)
@@ -67,7 +67,7 @@ def scaling_matrix(k: Rational) -> PolyphaseMatrix:
 
 def gamma_conjugate(k: Rational, m: PolyphaseMatrix) -> PolyphaseMatrix:
     """Inner automorphism D_K M D_K^-1: b -> K^-2 b, c -> K^2 c."""
-    k = Fraction(k)
+    k = _rational(k)
     a, b, c, d = m.entries()
     return PolyphaseMatrix.from_entries(a, b.scale(1 / k ** 2), c.scale(k ** 2), d)
 
@@ -190,7 +190,7 @@ def normalize_semidirect(word: Sequence[WordElement],
         if isinstance(el, LiftingStep):
             prod_order.append(el)
         else:
-            j = Fraction(el)
+            j = _rational(el)
             if not j:
                 raise ZeroDivisionError("scaling factor must be nonzero")
             # steps * D_J = D_J * gamma_{1/J}(steps)

@@ -15,12 +15,13 @@ from .errors import EmptySupport, NotUnimodular
 from .laurent import LaurentPoly, SymmetryTag
 
 
-def _hull(polys, what: str) -> Tuple[int, int]:
-    """Smallest interval holding the supports of the nonzero polys."""
-    spans = [p.support() for p in polys if p]
+def _hull(spans, what: str) -> Tuple[int, int]:
+    """Smallest interval holding the spans (lo, hi, ...) that are not falsy,
+    such as the supports `p and p.support()` of the nonzero polys p."""
+    spans = [s for s in spans if s]
     if not spans:
         raise EmptySupport(what)
-    return min(a for a, _ in spans), max(b for _, b in spans)
+    return min(s[0] for s in spans), max(s[1] for s in spans)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +35,8 @@ class PolyphaseVector:
 
     def support(self) -> Tuple[int, int]:
         """Vector-valued support interval [c, d] (union of the components)."""
-        return _hull((self.comp0, self.comp1), "zero polyphase vector")
+        return _hull([p and p.support() for p in (self.comp0, self.comp1)],
+                     "zero polyphase vector")
 
     def is_zero(self) -> bool:
         return self.comp0.is_zero() and self.comp1.is_zero()
@@ -149,7 +151,7 @@ class PolyphaseMatrix:
 
     def support(self) -> Tuple[int, int]:
         """Matrix impulse-response support interval (union over entries)."""
-        return _hull(self.entries(), "zero matrix")
+        return _hull([p and p.support() for p in self.entries()], "zero matrix")
 
     def order(self) -> int:
         c, d = self.support()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liftbank.cli import main
 from liftbank.errors import DuplicateTap, ParseError, ZeroTap
+from liftbank import formats
 from liftbank.formats import parse_bank, parse_cascade, print_bank, print_cascade
 from liftbank.laurent import LaurentPoly, _int_str, _str_int
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
@@ -262,6 +263,100 @@ class TestHugeRationals:
         assert len(text) > 10_000
         assert parse_cascade(text) == c
         assert print_cascade(parse_cascade(text)) == text
+
+
+def _drawn_file(seed):
+    """(parse, printed text, value) for a random bank or cascade."""
+    rng = random.Random(seed)
+    c = rand_ws_cascade(rng) if rng.random() < 0.5 else rand_hs_cascade(rng)
+    if rng.random() < 0.5:
+        return parse_bank, print_bank(c.product()), c.product()
+    return parse_cascade, print_cascade(c), c
+
+
+def _decorated(text, rng):
+    """text with comments, blank lines, runs of spaces and tabs, `+` signs
+    and a choice of line end put in, none of which changes what it says."""
+    out = []
+    for line in text.splitlines():
+        words = line.split(" ")
+        words[1:] = [("+" if w[0].isdigit() and rng.random() < 0.5 else "") + w
+                     for w in words[1:]]
+        out.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "\t", "  ", " \t "]).join(words)
+                   + rng.choice(["", " ", "\t", " # tap 0 1", "#"]))
+        if rng.random() < 0.3:
+            out.append(rng.choice(["", "  ", "# step U", "\t# h1:"]))
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(out) + rng.choice([eol, ""])
+
+
+def _line_reader(parse, text):
+    """What the line-by-line reader makes of text: the value, or the
+    class and line of its ParseError."""
+    if parse is parse_bank:
+        return _outcome(lambda: formats._read_bank(formats._lines(text)))
+    return _outcome(lambda: formats._read_cascade(text))
+
+
+class TestOnePassReader:
+    """The whole-file patterns read what the printers write, decorated or
+    not; any text they do not take gets the line reader's result or error."""
+
+    @given(st.integers(0, 2 ** 32))
+    def test_decorated_round_trips(self, seed):
+        parse, text, value = _drawn_file(seed)
+        text = _decorated(text, random.Random(seed))
+        pattern = formats._BANK if parse is parse_bank else formats._CASCADE
+        assert pattern.fullmatch(text)
+        assert parse(text) == value
+
+    @given(st.data())
+    def test_corrupted_line_is_reported_there(self, data):
+        parse, text, _ = _drawn_file(data.draw(st.integers(0, 2 ** 32)))
+        lines = text.splitlines()
+        k = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(["suffix", "zero", "index", "repeat"]))
+        words = lines[k].split(" ")
+        if words[0] != "tap" or how == "suffix":
+            lines[k] += " @"                        # one word too many, or not a keyword
+        elif how == "zero":
+            lines[k] = f"tap {words[1]} 0"
+        elif how == "index":
+            lines[k] = f"tap \u0663 {words[2]}"     # an Arabic-Indic 3
+        else:
+            lines.insert(k, lines[k])               # DuplicateTap on the copy
+            k += 1
+        text = "\n".join(lines) + "\n"
+        got = _outcome(lambda: parse(text))
+        assert got == _line_reader(parse, text)
+        assert got[1] == k + 1
+
+    # str.splitlines, and so the line reader, also ends a line at these.
+    @pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize("parse, template, line", [
+        (parse_bank, "bank x{}h0:\nh0:\ntap 0 1\nh1:\n", 3),
+        (parse_bank, "h0:\ntap 0 1 # x{}h1:\nh1:\n", 4),
+        (parse_cascade, "step U\ntap 0 1 #{}tap 0 2\n", 3),
+    ])
+    def test_line_breaks_in_comments_end_the_line(self, parse, template, line, brk):
+        text = template.format(brk)
+        got = _outcome(lambda: parse(text))
+        assert got == _line_reader(parse, text) and got[1] == line
+
+    # A pattern that could match a line in two ways would take exponential
+    # time to give up on a file whose last line is bad: seconds for eight
+    # taps a section, forever for a thousand.
+    @pytest.mark.parametrize("n", [8, 1000])
+    @pytest.mark.parametrize("last", ["tap x 1", "step U", "tap 0 " + "7" * 600],
+                             ids=["index", "keyword", "long-number"])
+    def test_late_mismatch_costs_linear_time(self, last, n):
+        taps = "".join(f"tap {i} {'3' * 40}/{'7' * 40}\n" for i in range(n))
+        text = f"h0:\n{taps}h1:\n{taps}{last}\n"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            parse_bank(text)
+        assert time.perf_counter() - start < 0.5
+        assert e.value.line == 2 * n + 3
 
 
 class TestCommands:

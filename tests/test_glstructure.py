@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liftbank.errors import InvalidArgument, NotAdmissible, NotIrreducible
+from liftbank.errors import InvalidArgument, LiftbankError, NotAdmissible, NotIrreducible
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_HR, S_W, S_WR,
                                   WA_ZERO, base_admissible, cascade_in_structure,
                                   check_order_increasing, d_invariance_check,
                                   step_admissible, ws_radii)
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, scaling_matrix, upper
-from liftbank.polyphase import IDENTITY, haar_bank
+from liftbank.polyphase import IDENTITY, PolyphaseMatrix, haar_bank
 from liftbank.randgen import (rand_admissible_step, rand_equal_length_hs_base,
                               rand_hs_cascade, rand_hs_concentric_bank,
                               rand_ws_cascade)
@@ -150,6 +152,106 @@ class TestOrderIncreasing:
         c = LiftingCascade(F(1), (upper(F(1)), upper(F(1))))
         with pytest.raises(NotIrreducible):
             check_order_increasing(c)
+
+
+def orders_from_products(c):
+    """check_order_increasing from the multiplied-out partial products."""
+    if not c.is_irreducible:
+        raise NotIrreducible
+    orders = [e.order() for e in c.intermediates()]
+    return all(b > a for a, b in zip(orders, orders[1:])), orders
+
+
+def radii_from_products(c):
+    """ws_radii's measured radii and orders from the multiplied-out
+    partial products' scalar filters."""
+    if not c.is_irreducible:
+        raise NotIrreducible
+    if c.base != IDENTITY or not all(step_admissible(S_W, s) for s in c.steps):
+        raise NotAdmissible
+    out = []
+    for e in c.intermediates()[1:]:
+        rows = [e.scalar_filter(i) for i in (0, 1)]
+        for i, f in enumerate(rows):
+            if f.support() != (-f.supprad() - i, f.supprad() - i):
+                raise NotAdmissible
+        out.append((rows[0].supprad(), rows[1].supprad(), e.order()))
+    return out
+
+
+def measured_radii(c):
+    return [(s.r0_measured, s.r1_measured, s.order) for s in ws_radii(c).steps]
+
+
+def _outcome(fn, c):
+    """fn(c), or the class of the LiftbankError it raises."""
+    try:
+        return fn(c)
+    except LiftbankError as exc:
+        return type(exc)
+
+
+def small_polys(min_size):
+    # Few taps on few indices, so that the ends of sums often meet and cancel.
+    taps = st.sampled_from([1, -1, 2, -2, F(1, 2), F(-3, 4)])
+    return st.dictionaries(st.integers(-1, 1), taps, min_size=min_size,
+                           max_size=2).map(LaurentPoly)
+
+
+@st.composite
+def cascades(draw):
+    """S_W and S_H cascades as randgen draws them, and alternating steps
+    with small arbitrary taps over bases whose entries may be zero."""
+    kind = draw(st.sampled_from(["ws", "hs", "any", "any"]))
+    if kind != "any":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        return rand_ws_cascade(rng) if kind == "ws" else rand_hs_cascade(rng)
+    base = PolyphaseMatrix.from_entries(*(draw(small_polys(0)) for _ in range(4)))
+    m = draw(st.integers(0, 1))
+    steps = []
+    for f in draw(st.lists(small_polys(1), max_size=6)):
+        steps.append(LiftingStep(m, f))
+        m = 1 - m
+    return LiftingCascade(F(1), tuple(steps), base)
+
+
+class TestEndTapOrders:
+    """The orders and radii read off the partial products' end taps are
+    those of the multiplied-out products, errors included."""
+
+    @settings(max_examples=200)     # about one in twelve cancels
+    @given(cascades())
+    def test_orders_match_products(self, c):
+        assert _outcome(check_order_increasing, c) == _outcome(orders_from_products, c)
+
+    @given(cascades())
+    def test_radii_match_products(self, c):
+        assert _outcome(measured_radii, c) == _outcome(radii_from_products, c)
+
+    @pytest.fixture
+    def multiplied(self, monkeypatch):
+        """Counts the calls of LiftingCascade.intermediates."""
+        calls = []
+        real = LiftingCascade.intermediates
+        monkeypatch.setattr(LiftingCascade, "intermediates",
+                            lambda c: calls.append(c) or real(c))
+        return calls
+
+    def test_generated_cascades_multiply_nothing(self, multiplied):
+        rng = random.Random(12)
+        for _ in range(40):
+            ws = rand_ws_cascade(rng)
+            check_order_increasing(ws)
+            ws_radii(ws)
+            hs = rand_hs_cascade(rng)
+            if len(hs):
+                check_order_increasing(hs)
+        assert multiplied == []
+
+    def test_cancellation_multiplies_out(self, multiplied):
+        from liftbank.cli import identity_cascade
+        ok, orders = check_order_increasing(identity_cascade())
+        assert len(multiplied) == 1 and not ok and orders[-1] == 0
 
 
 class TestRadii:

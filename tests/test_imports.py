@@ -1,7 +1,7 @@
 """Hygiene of the library modules, checked on their syntax trees:
 imports sit at module level, every imported name is used, no module
-multiplies matrices with `@`, and integer numerators are reduced in
-`laurent` alone."""
+multiplies matrices with `@`, integer numerators are reduced in
+`laurent` alone, and no pattern spells a digit `\\d`."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,14 @@ def test_reduction_stays_in_laurent(path):
         assert not from_math, f"{path.name}: uses {sorted(from_math)} from math"
     elif path.name != "laurent.py":
         assert "gcd" not in from_math, f"{path.name}: uses gcd"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_regex_digits_are_ascii(path):
+    # In a str pattern `\d` also matches digits such as U+0663, which int()
+    # reads as 3, so a pattern with it would take non-ASCII tap indices.
+    # Patterns spell digits `[0-9]`.
+    lines = [node.lineno for node in ast.walk(tree(path))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "\\d" in node.value]
+    assert not lines, f"{path.name}: `\\d` in string literals at lines {lines}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from liftbank.errors import BaseNotIdentity, InvalidArgument, NotIrreducible
 from liftbank.factor import _rescale, equivalent_mod_rescaling
-from liftbank.laurent import LaurentPoly
+from liftbank.laurent import LaurentPoly, is_dyadic
 from liftbank.lifting import (GroupWord, LiftingCascade, LiftingStep,
                               gamma_conjugate, invert_cascade, lower,
                               normalize_semidirect, reduce_to_irreducible,
@@ -72,6 +72,34 @@ class TestStepMatrix:
 def test_constructors_refuse_wrong_kinds(build):
     with pytest.raises(InvalidArgument):
         build()
+
+
+# Every scalar argument goes through one reader: text is not a number,
+# and None, NaN and the infinities are not finite ones.
+SCALAR_CALLS = {
+    "scale": lambda k: LaurentPoly({0: 1, 1: 3}).scale(k),
+    "mul": lambda k: LaurentPoly({0: 1, 1: 3}) * k,
+    "rmul": lambda k: k * LaurentPoly({0: 1, 1: 3}),
+    "evaluate": lambda k: LaurentPoly({0: 1, 1: 3})(k),
+    "scaling_matrix": lambda k: scaling_matrix(k),
+    "gamma_conjugate": lambda k: gamma_conjugate(k, haar_bank()),
+    "conjugate": lambda k: upper(1).conjugate(k),
+    "normalize_semidirect": lambda k: normalize_semidirect([upper(1), k]),
+    "is_dyadic": lambda k: is_dyadic(k),
+}
+
+
+@pytest.mark.parametrize("k", ["2", "1/2", None, float("nan"), float("inf")],
+                         ids=["text", "ratio-text", "none", "nan", "inf"])
+@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+def test_scalars_must_be_finite_numbers(call, k):
+    with pytest.raises(InvalidArgument, match="is not a finite number"):
+        call(k)
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+def test_scalars_take_numbers(call):
+    assert call(F(1, 2)) == call(0.5) and call(2) == call(F(2))
 
 
 def test_constructors_take_numbers():
