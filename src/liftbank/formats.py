@@ -28,20 +28,33 @@ _INDEX = re.compile(r"[+-]?[0-9]+")
 # by _BANK or _CASCADE (no zero number, no digit run that int() could
 # refuse), and its taps are read off _TAP's groups.  Other text, every error
 # included, goes to the line reader below, which numbers the lines.  A text
-# matches in at most one way, so a mismatch costs linear time; comments and
-# names hold no line break that str.splitlines knows.
+# matches in at most one way; comments and names hold no line break that
+# str.splitlines knows.  Each block of tap lines, and the run of step
+# blocks, is matched atomically (_atomic), so a mismatch past it never
+# retries shorter digit runs inside it and costs linear time.
 _FREE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"
 _EOL = r"(?:\r?\n|\Z)"
 _END = rf"[ \t]*(?:#{_FREE}*)?{_EOL}"           # the rest of a line
 _DIGITS = rf"[0-9]{{1,{_CHUNK_DIGITS}}}"
 _NONZERO = rf"(?=0*[1-9]){_DIGITS}"
 _TAPS = rf"(?:[ \t]*tap[ \t]+[+-]?{_DIGITS}[ \t]+[+-]?{_NONZERO}(?:/{_NONZERO})?{_END}|{_END})*"
-_BODY = rf"[ \t]*h0:{_END}(?P<h0>{_TAPS})[ \t]*h1:{_END}(?P<h1>{_TAPS})"
+
+
+def _atomic(name: str, pattern: str) -> str:
+    """pattern as group name, matched the longest way and never
+    backtracked into: the lookahead captures, the backreference consumes.
+    An atomic group in a form that Python 3.10 reads; it matches what the
+    plain group would wherever nothing after it can start with what
+    pattern repeats."""
+    return rf"(?=(?P<{name}>{pattern}))(?P={name})"
+
+
+_BODY = rf"[ \t]*h0:{_END}{_atomic('h0', _TAPS)}[ \t]*h1:{_END}{_atomic('h1', _TAPS)}"
 _BANK = re.compile(rf"(?:{_END})*(?:[ \t]*bank(?:[ \t]{_FREE}*)?{_EOL}(?:{_END})*)?{_BODY}")
 _CASCADE = re.compile(rf"(?:{_END})*(?:[ \t]*scale[ \t]+(?P<p>[+-]?{_NONZERO})"
                       rf"(?:/(?P<q>{_NONZERO}))?{_END}(?:{_END})*)?"
-                      rf"(?P<steps>(?:[ \t]*step[ \t]+[UL]{_END}{_TAPS})*)"
-                      rf"(?:[ \t]*base:{_END}(?:{_END})*{_BODY})?")
+                      + _atomic("steps", rf"(?:[ \t]*step[ \t]+[UL]{_END}{_TAPS})*")
+                      + rf"(?:[ \t]*base:{_END}(?:{_END})*{_BODY})?")
 _TAP = re.compile(r"^[ \t]*tap[ \t]+([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)(?:/([0-9]+))?", re.M)
 _STEP = re.compile(r"^[ \t]*step[ \t]+([UL])", re.M)
 

@@ -9,6 +9,7 @@ the stored index n is the exponent of z^(-n), so multiplying by z^(-1)
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -139,7 +140,8 @@ class LaurentPoly:
     takes each index through `operator.index`, so `int` and `bool` pass,
     and refuses any other (`1.5`, `2.0`, `'7'`, `None`) with
     InvalidArgument, because the keys of `_num` are read as ints.  So is
-    a coefficient that is a str, None, NaN or infinite.
+    a coefficient that is a str, None, NaN or infinite, and an argument
+    that is neither a mapping nor an iterable of (index, coefficient) pairs.
     """
 
     __slots__ = ("_num", "_den")
@@ -147,15 +149,19 @@ class LaurentPoly:
     def __init__(self, coeffs: Union[Mapping[int, Rational], Iterable[Tuple[int, Rational]], None] = None):
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
         terms = []
-        for n, v in items:
-            try:
-                n = index(n)
-            except TypeError:
-                raise InvalidArgument(f"tap index {n!r} is not an integer") from None
-            if type(v) is not int:
-                v = _rational(v, n)
-            if v:
-                terms.append((n, v))
+        try:
+            for n, v in items:
+                try:
+                    n = index(n)
+                except TypeError:
+                    raise InvalidArgument(f"tap index {n!r} is not an integer") from None
+                if type(v) is not int:
+                    v = _rational(v, n)
+                if v:
+                    terms.append((n, v))
+        except (TypeError, ValueError):     # not iterable, or an item not a pair
+            raise InvalidArgument(f"LaurentPoly takes a mapping or (index, coefficient) pairs, "
+                                  f"got {type(coeffs).__name__} {reprlib.repr(coeffs)}") from None
         den = lcm(*{v.denominator for _, v in terms})
         num: Dict[int, int] = {}
         for n, v in terms:

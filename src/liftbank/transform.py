@@ -17,9 +17,10 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, repeat
 from math import lcm
-from operator import index, sub
+from operator import and_, index, lshift, or_, rshift, sub
+from struct import pack
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
@@ -29,6 +30,7 @@ from .polyphase import IDENTITY, PolyphaseMatrix
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 Channel = Tuple[int, int]
+_MASK = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +48,12 @@ def _reach(c: LiftingCascade) -> int:
     return max(map(_radius, c.base.entries())) + sum(_radius(s.filter) for s in c.steps)
 
 
-def _windows(y: Tuple[Mapping[int, int], ...], reach: int) -> Iterator[Tuple[int, int, List[int]]]:
-    """The indices of y, one signal or a channel pair, as runs (lo, hi,
-    run): a run's sorted indices, its channel indices lo .. hi - 1.  Runs
-    are cut only where channel indices lie over 2 * reach apart, and each
-    window pads its run by reach on both sides: whatever moves a sample by
-    at most reach then gives the same values as one window over all."""
+def _windows(y: Tuple[Mapping[int, int], ...], reach: int) -> Iterator[Tuple[int, int]]:
+    """The indices of y, one signal or a channel pair, as runs (lo, hi) of
+    channel indices lo .. hi - 1.  Runs are cut only where channel indices
+    lie over 2 * reach apart, and each window pads its run by reach on both
+    sides: whatever moves a sample by at most reach then gives the same
+    values as one window over all, and no window holds another's index."""
     phases = 3 - len(y)
     keys = sorted(y[0].keys() | y[1].keys() if len(y) > 1 else y[0])
     gap = phases * (2 * reach + 1) - 1
@@ -59,7 +61,7 @@ def _windows(y: Tuple[Mapping[int, int], ...], reach: int) -> Iterator[Tuple[int
     cuts = [i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap] if holes >= gap else []
     bounds = [0, *cuts, len(keys)] if keys else []
     for i, j in zip(bounds, bounds[1:]):
-        yield keys[i] // phases, keys[j - 1] // phases + 1, keys[i:j]
+        yield keys[i] // phases, keys[j - 1] // phases + 1
 
 
 def _limbs(raw: bytes, code: str) -> Sequence[int]:
@@ -71,15 +73,20 @@ def _limbs(raw: bytes, code: str) -> Sequence[int]:
     return limbs
 
 
+def _width(top: int) -> int:
+    """The fewest 64-bit limbs whose two's complement holds -top .. top."""
+    return (top.bit_length() + 64) // 64
+
+
 class _Window:
     """n samples as the signed digits of one int, sample p at bits [B * p,
     B * (p + 1)) with B = 64 * j: the samples' polynomial at 2^B.  A channel
     is (w, den), such a window w of numerators over den > 0.  Sums, digit
     shifts and integer multiples of windows are exact whatever the digits;
-    only unpacking and the rounding floor read digits, which must then lie
-    in (-2^(B-2), 2^(B-2)): j is the fewest limbs that keep top, a _Bound
-    of every digit read, inside.  Digits shifted out below are zero,
-    because the window pads its run by the reach."""
+    only the rounding floor and the 2-adic search read digits, which must
+    then lie in (-2^(B-2), 2^(B-2)): j is the fewest limbs that keep top, a
+    _Bound of every digit read, inside.  Digits shifted out below are
+    zero, because the window pads its run by the reach."""
 
     def __init__(self, n: int, top: int, rounding: bool):
         self.j = j = (top.bit_length() + 65) // 64
@@ -88,49 +95,75 @@ class _Window:
         self.rounding = rounding
         self.ones = int.from_bytes((b"\1" + bytes(8 * j - 1)) * n, "little")
 
-    def _pack(self, x: Mapping[int, int], run: List[int], start: int,
-              phases: int) -> List[int]:
-        """The windows of the phases channels that x interleaves, over the
-        indices run, from channel index start on: j two's-complement limbs
-        per sample, then each digit's sign restored by a bias of 2^(B-1)."""
-        j, get = self.j, x.get
-        if j == 1:
-            buf = array("q", [0]) * (phases * self.n)
-            for k in run:
-                buf[k - phases * start] = get(k, 0)
-            chans = [buf] if phases == 1 else [buf[i::phases] for i in range(phases)]
-            del buf
-            for ch in chans if sys.byteorder == "big" else ():
-                ch.byteswap()
-        else:
-            chans = [bytearray(8 * j * self.n) for _ in range(phases)]
-            for k in run:
-                p = 8 * j * (k // phases - start)
-                chans[k % phases][p:p + 8 * j] = get(k, 0).to_bytes(8 * j, "little", signed=True)
+    def _pack(self, x: Mapping[int, int], start: int, phases: int, top: int) -> List[int]:
+        """The windows of the phases channels that x interleaves, from
+        channel index start on, x's samples being at most top in magnitude.
+        x is read once over the window; each of the k = _width(top) two's
+        complement limbs of its samples is packed little-endian in one
+        call and copied strided into the low k limbs of the j-limb digits.
+        Flipping each digit's bit 64 * k - 1 then biases it by 2^(64 k - 1),
+        which comes off again."""
+        j, n, k = self.j, self.n, _width(top)
+        vals = list(map(x.get, range(phases * start, phases * (start + n)), repeat(0)))
+        wide = bytearray(8 * j * n * phases)
+        digits = memoryview(wide).cast("Q")
+        for i in range(k):
+            src = map(rshift, vals, repeat(64 * i)) if i else vals
+            limb = pack(f"<{len(vals)}q", *src) if i == k - 1 else \
+                pack(f"<{len(vals)}Q", *map(and_, src, repeat(_MASK)))
+            limb = memoryview(limb).cast("Q")
+            for p in range(phases):
+                digits[j * n * p + i:j * n * (p + 1):j] = limb[p::phases]
+        high = self.ones << 64 * k - 1
         out = []
-        while chans:
-            u = int.from_bytes(chans.pop(0), "little")
-            high = self.ones << self.bits - 1
+        for p in range(phases):
+            u = int.from_bytes(digits[j * n * p:j * n * (p + 1)], "little")
             u ^= high
             out.append(u - high)
         return out
 
-    def _unpack(self, out: List[Channel]) -> List[Tuple[Sequence[int], int]]:
-        """The digits of each channel in out, emptying out so that one
-        packed window at a time is read: _pack's bias undone, then the
-        limbs read, the top one signed."""
-        j, high = self.j, self.ones << self.bits - 1
+    def _twos(self, w: int, cap: int) -> int:
+        """The largest s <= cap <= B - 2 such that 2^s divides every digit
+        of w.  The bias 2^(B-2) makes each digit a non-negative field of
+        its own, whose low s bits a mask reads all at once."""
+        if not cap:
+            return 0
+        ones = self.ones
+        u = w + (ones << self.bits - 2)
+        if not u & (ones << cap) - ones:
+            return cap
+        lo, hi = 0, cap - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if u & (ones << mid) - ones:
+                hi = mid - 1
+            else:
+                lo = mid
+        return lo
+
+    def _unpack(self, out: List[Channel], bounds: List[int]) -> List[Tuple[List[int], int]]:
+        """The digits of each channel (w, den) in out, emptying out so that
+        one packed window at a time is read, bounds[i] bounding channel i.
+        Each channel is first divided by the largest 2^s that divides den
+        and every digit; then only the limbs its reduced bound needs are
+        read, the top one signed, from the two's complement of the digits."""
+        j, n, high = self.j, self.n, self.ones << self.bits - 1
         res = []
-        while out:
+        for i in range(len(out)):
             w, d = out.pop(0)
+            s = self._twos(w, min((d & -d).bit_length() - 1, self.bits - 2))
+            if s:
+                w >>= s
+                d >>= s
+            k = _width(bounds[i] >> s)
             w += high
             w ^= high
-            raw = w.to_bytes(8 * j * self.n, "little")
+            raw = w.to_bytes(8 * j * n, "little")
             del w
-            vals = _limbs(raw, "q")[j - 1::j]
-            for k in range(j - 2, -1, -1):
-                vals = [v << 64 | lo for v, lo in zip(vals, _limbs(raw, "Q")[k::j])]
-            res.append((vals, d))
+            vals = _limbs(raw, "q")[k - 1::j]
+            for m in range(k - 2, -1, -1):
+                vals = map(or_, map(lshift, vals, repeat(64)), _limbs(raw, "Q")[m::j])
+            res.append((list(vals), d))
         return res
 
     def _conv(self, acc: int, num: Dict[int, int], f: int, src: int, den: int = 1,
@@ -211,8 +244,9 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
          dens: Tuple[int, int] = (1, 1)) -> List[Tuple[Dict[int, int], int]]:
     """c's analysis (sign = 1) of the signal y = (x,), or synthesis of the
     channel pair y, integer numerators over dens: the other side, nonzero
-    numerators over one denominator per mapping.  A _Bound runs the stages
-    first to size the windows; a singular base raises before that."""
+    numerators over one denominator per mapping: the lcm of the reduced
+    denominators its windows read out.  A _Bound runs the stages first to
+    size the windows; a singular base raises before that."""
     gain = IDENTITY if c.scale == 1 else scaling_matrix(c.scale if sign > 0 else 1 / c.scale)
     base = c.base if sign > 0 or rounding else c.base.inverse()    # reversible: base I
     pre, steps, post = (base, c.steps, gain) if sign > 0 else (gain, c.steps[::-1], base)
@@ -221,21 +255,28 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
         return win._apply(post, _ladder(steps, win._apply(pre, v), win._lift, sign))
 
     q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
-    tops = [max(map(abs, x.values()), default=0) for x in y for _ in range(3 - q)]
+    tops = [max(map(abs, x.values()), default=0) for x in y]
     bound = _Bound(rounding)
-    out = stages(bound, list(zip(tops, dens)))
-    top = max(bound.top, *tops, *(m for m, _ in out))
-    odens = [lcm(*(d for _, d in out[g:g + q])) for g in range(0, 2, q)]
-    outs: List[Dict[int, int]] = [{} for _ in odens]
-    for lo, hi, run in _windows(y, reach):
+    out = stages(bound, list(zip([t for t in tops for _ in range(3 - q)], dens)))
+    bounds = [m for m, _ in out]
+    top = max(bound.top, *tops, *bounds)
+    parts: List[list] = [[] for _ in range(0, 2, q)]    # (first index, values, den) per window
+    for lo, hi in _windows(y, reach):
         win = _Window(hi - lo + 2 * reach, top, rounding)
-        out = stages(win, list(zip([w for x in y for w in win._pack(x, run, lo - reach, 3 - q)],
-                                   dens)))
-        for i, (vals, d) in enumerate(win._unpack(out)):
-            f = odens[i // q] // d
-            idx, nonzero = compress(count(q * (lo - reach) + i % q, q), vals), filter(None, vals)
-            outs[i // q].update(zip(idx, nonzero if f == 1 else map(f.__mul__, nonzero)))
-    return list(zip(outs, odens))
+        out = stages(win, list(zip([w for x, t in zip(y, tops)
+                                    for w in win._pack(x, lo - reach, 3 - q, t)], dens)))
+        for i, (vals, d) in enumerate(win._unpack(out, bounds)):
+            parts[i // q].append((q * (lo - reach) + i % q, vals, d))
+    res = []
+    for windows in parts:
+        den, found = lcm(*(d for _, _, d in windows)), {}
+        for first, vals, d in windows:
+            idx = range(first, first + q * len(vals), q)
+            if 0 in vals:
+                idx, vals = compress(idx, vals), filter(None, vals)
+            found.update(zip(idx, vals if d == den else map((den // d).__mul__, vals)))
+        res.append((found, den))
+    return res
 
 
 def _kind(x) -> str:

@@ -358,6 +358,23 @@ class TestOnePassReader:
         assert time.perf_counter() - start < 0.5
         assert e.value.line == 2 * n + 3
 
+    # A digit run the patterns could backtrack into would be retried at
+    # every shorter length once a late line fails: about one retry per
+    # digit, several times the line reader's whole pass on long numbers.
+    def test_failed_match_costs_less_than_the_line_reader(self):
+        taps = "".join(f"tap {i} {'3' * 500}/{'7' * 500}\n" for i in range(1500))
+        text = f"h0:\n{taps}h1:\n{taps}tap x 1\n"
+        match, reader = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert formats._BANK.fullmatch(text) is None
+            match.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                formats._read_bank(formats._lines(text))
+            reader.append(time.perf_counter() - start)
+        assert min(match) < min(reader)
+
 
 class TestCommands:
     def write(self, tmp_path, name, text):

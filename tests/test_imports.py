@@ -1,7 +1,8 @@
 """Hygiene of the library modules, checked on their syntax trees:
 imports sit at module level, every imported name is used, no module
 multiplies matrices with `@`, integer numerators are reduced in
-`laurent` alone, and no pattern spells a digit `\\d`."""
+`laurent` alone, no pattern spells a digit `\\d`, and samples cross into
+and out of packed windows in C."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,24 @@ def test_regex_digits_are_ascii(path):
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and "\\d" in node.value]
     assert not lines, f"{path.name}: `\\d` in string literals at lines {lines}"
+
+
+def test_window_samples_cross_in_c():
+    # _Window._pack and _unpack move every sample of a window: through
+    # map, struct, int.from_bytes/to_bytes and memoryview, never through a
+    # Python loop per sample.  A loop may only count limbs or channels.
+    path = Path(liftbank.__file__).parent / "transform.py"
+    window = next(node for node in tree(path).body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Window")
+    methods = [node for node in window.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("_pack", "_unpack")]
+    assert len(methods) == 2
+    for method in methods:
+        nodes = list(ast.walk(method))
+        comps = [node.lineno for node in nodes
+                 if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+        loops = [node.lineno for node in nodes if isinstance(node, (ast.For, ast.While))
+                 and not (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                          and getattr(node.iter.func, "id", None) == "range")]
+        assert not comps, f"_Window.{method.name}: comprehensions at lines {comps}"
+        assert not loops, f"_Window.{method.name}: loops not over range() at lines {loops}"

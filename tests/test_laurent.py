@@ -196,6 +196,13 @@ class TestIndices:
         with pytest.raises(InvalidArgument):
             LaurentPoly([(n, 0)])
 
+    @pytest.mark.parametrize("coeffs, got", [(5, "int 5"), ("ab", "str 'ab'"),
+                                             ([(1, 2, 3)], "list [(1, 2, 3)]"),
+                                             ([1, 2], "list [1, 2]")])
+    def test_non_pairs_are_named(self, coeffs, got):
+        with pytest.raises(InvalidArgument, match=re.escape(f"pairs, got {got}") + "$"):
+            LaurentPoly(coeffs)
+
     def test_int_and_bool_indices_pass(self):
         p = LaurentPoly({True: 2, False: 1, 10 ** 30: -1})
         assert p == LaurentPoly({1: 2, 0: 1, 10 ** 30: -1})

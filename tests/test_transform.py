@@ -420,6 +420,98 @@ class TestWideStep:
             assert time.perf_counter() - t0 < 1
 
 
+def direct_window(digits, j):
+    """digits as a window of j-limb digits, one multiplication per digit."""
+    return sum(v << 64 * j * p for p, v in enumerate(digits))
+
+
+def window_of(n, j):
+    """A window of n samples whose digits have j limbs."""
+    win = transform._Window(n, 1 << 64 * j - 3, False)
+    assert win.j == j
+    return win
+
+
+class TestWindowPrimitives:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_pack_then_spread_is_direct_packing(self, data):
+        j, phases = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        n, start = data.draw(st.integers(1, 12)), data.draw(st.integers(-6, 6))
+        # Negative, zero and small digits, and digits past 2^65 and 2^129
+        # where the window's j limbs hold them.
+        shifts = [0] + [e for e in (65, 129) if e + 20 < 64 * j]
+        digit = st.builds(lambda v, e, r: (v << e) + r, st.integers(-300, 300),
+                          st.sampled_from(shifts), st.integers(-300, 300))
+        x = data.draw(st.dictionaries(st.integers(phases * start, phases * (start + n) - 1),
+                                      digit))
+        win = window_of(n, j)
+        want = [direct_window([x.get(phases * (start + i) + p, 0) for i in range(n)], j)
+                for p in range(phases)]
+        # packed at the samples' own width and at the window's
+        for top in (max(map(abs, x.values()), default=0), (1 << 64 * j - 2) - 1):
+            assert win._pack(x, start, phases, top) == want
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_twos_is_the_least_trailing_zero_count(self, data):
+        j = data.draw(st.integers(1, 3))
+        digit = st.just(0) | st.builds(lambda v, e: (2 * v + 1) << e, st.integers(-2 ** 20, 2 ** 20),
+                                       st.integers(0, 64 * j - 25))
+        digits = data.draw(st.lists(digit, min_size=1, max_size=12))
+        cap = data.draw(st.integers(0, 64 * j - 2))
+        zeros = [(v & -v).bit_length() - 1 for v in digits if v]
+        assert window_of(len(digits), j)._twos(direct_window(digits, j), cap) == min([cap, *zeros])
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_twos_of_a_zero_window_is_the_cap(self, j):
+        for cap in (0, 1, 64 * j - 2):
+            assert window_of(5, j)._twos(0, cap) == cap
+
+
+class TestWindowReduction:
+    """Exact round trips where the window divides out powers of 2 before
+    it reads the output, pinned to cases that exercise each part."""
+
+    def test_two_limb_synthesis_reads_one_limb(self, monkeypatch):
+        rng = random.Random(2)
+        c = rand_hs_cascade(rng, n_steps=3, base=rand_equal_length_hs_base(rng, width=2))
+        x = LaurentPoly(rand_int_signal(rng, 64))
+        y = apply_analysis(c, x)
+        widths, limbs = [], []
+        width, unpack = transform._width, transform._Window._unpack
+        monkeypatch.setattr(transform, "_width", lambda top: widths.append(width(top)) or widths[-1])
+        monkeypatch.setattr(transform._Window, "_unpack",
+                            lambda self, *a: limbs.append(self.j) or unpack(self, *a))
+        assert apply_synthesis(c, y) == x == ref_exact_synthesis(c, y)
+        assert limbs == [2] and set(widths) == {1}
+
+    def test_hs_base_leaves_an_odd_gcd(self):
+        rng = random.Random(24)
+        c = rand_hs_cascade(rng, n_steps=3, base=rand_equal_length_hs_base(rng, width=2))
+        x = LaurentPoly(rand_int_signal(rng, 64))
+        y = apply_analysis(c, x)
+        (num, den), = transform._run(c, (y[0]._num, y[1]._num), -1, False, (y[0]._den, y[1]._den))
+        g = math.gcd(den, *num.values())
+        assert g > 1 and g % 2 == 1
+        assert LaurentPoly._reduced(num, den) == x == ref_exact_synthesis(c, y)
+
+    def test_windows_reduce_by_different_powers(self, monkeypatch):
+        rng = random.Random(0)
+        c = rand_ws_cascade(rng, n_steps=4)
+        x = LaurentPoly({**{i: 2 * rng.randint(-50, 50) + 1 for i in range(16)},
+                         **{10 ** 6 + i: 8 * rng.randint(-50, 50) for i in range(16)}})
+        found, twos = [], transform._Window._twos
+        monkeypatch.setattr(transform._Window, "_twos",
+                            lambda self, w, cap: found.append(twos(self, w, cap)) or found[-1])
+        y = apply_analysis(c, x)
+        assert found[0] != found[2]         # channel 0 in the first and the second window
+        assert y == ref_exact_analysis(c, x)
+        assert apply_synthesis(c, y) == x
+        z = (y[1], y[0].shift(-1))
+        assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
+
+
 class TestExactInputs:
     """The exact transforms take LaurentPoly signals and name what else
     they got."""
