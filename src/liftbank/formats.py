@@ -155,9 +155,7 @@ def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
         out.append(f"bank {name}")
     for i in (0, 1):
         out.append(f"h{i}:")
-        f = h.scalar_filter(i)
-        for n in sorted(f.indices()):
-            out.append(f"tap {n} {_fmt_fraction(f.coeff(n))}")
+        out.extend(f"tap {n} {v}" for n, v in h.scalar_filter(i)._taps())
     return "\n".join(out) + "\n"
 
 
@@ -221,8 +219,7 @@ def print_cascade(c: LiftingCascade) -> str:
         out.append(f"scale {_fmt_fraction(c.scale)}")
     for s in c.steps:
         out.append(f"step {'U' if s.m == 0 else 'L'}")
-        for n in sorted(s.filter.indices()):
-            out.append(f"tap {n} {_fmt_fraction(s.filter.coeff(n))}")
+        out.extend(f"tap {n} {v}" for n, v in s.filter._taps())
     if c.base != IDENTITY:
         out.append("base:")
         out.append(print_bank(c.base).rstrip("\n"))

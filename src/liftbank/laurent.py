@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import EmptySupport, InvalidArgument
 
@@ -82,10 +82,15 @@ def _str_int(digits: str) -> int:
     return _str_int(digits[:-low]) * 10 ** low + _str_int(digits[-low:])
 
 
+def _fmt_ratio(p: int, q: int) -> str:
+    """`p` or `p/q` for the rational p / q, q > 0, in lowest terms, of any length."""
+    g = gcd(p, q)
+    num = _int_str(p // g)
+    return num if q == g else f"{num}/{_int_str(q // g)}"
+
+
 def _fmt_fraction(v: Fraction) -> str:
-    """`p` or `p/q`, for a rational of any length."""
-    num = _int_str(v.numerator)
-    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
+    return _fmt_ratio(v.numerator, v.denominator)
 
 
 # Evaluating at z0 != +-1 builds each z0 ** -n exactly, about |n| * bits(z0)
@@ -217,6 +222,10 @@ class LaurentPoly:
 
     def indices(self):
         return self._num.keys()
+
+    def _taps(self) -> List[Tuple[int, str]]:
+        """(n, tap n as `p` or `p/q`) in increasing n: one gcd per tap, no Fraction."""
+        return [(n, _fmt_ratio(self._num[n], self._den)) for n in sorted(self._num)]
 
     def is_zero(self) -> bool:
         return not self._num
@@ -358,17 +367,8 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for n in sorted(self._num):
-            v = _fmt_fraction(Fraction(self._num[n], self._den))
-            if n == 0:
-                parts.append(v)
-            else:
-                e = -n
-                parts.append(f"{v}*z^{e}" if e != 1 else f"{v}*z")
-        return " + ".join(parts)
+        terms = (v if n == 0 else f"{v}*z" if n == -1 else f"{v}*z^{-n}" for n, v in self._taps())
+        return " + ".join(terms) or "0"
 
 
 ZERO = LaurentPoly.zero()

@@ -14,14 +14,15 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import and_, index, lshift, or_, rshift, sub
-from struct import pack
-from typing import Dict, Iterator, List, Sequence, Tuple
+from struct import error as StructError, pack
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
 from .laurent import LaurentPoly
@@ -30,6 +31,7 @@ from .polyphase import IDENTITY, PolyphaseMatrix
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 Channel = Tuple[int, int]
+_Read = Tuple[Mapping[int, int], List[int], int, Optional[bytes]]     # what _read returns
 _MASK = (1 << 64) - 1
 
 
@@ -48,16 +50,39 @@ def _reach(c: LiftingCascade) -> int:
     return max(map(_radius, c.base.entries())) + sum(_radius(s.filter) for s in c.steps)
 
 
-def _windows(y: Tuple[Mapping[int, int], ...], reach: int) -> Iterator[Tuple[int, int]]:
-    """The indices of y, one signal or a channel pair, as runs (lo, hi) of
+def _read(x: Mapping[int, int], check: bool) -> _Read:
+    """(x, keys, top, low): x's keys sorted, its largest |value| and, if
+    that fits one signed 64-bit limb, its values in key order packed as
+    such limbs (else None); keys and values are each listed in one pass.
+    With check, the pack of the keys and the one of the values are the
+    integer check: what they refuse (a non-int, or past +-2^63) goes
+    through _int_samples, which raises or converts, and is read again."""
+    keys, vals, low = list(x), list(x.values()), None
+    if check:
+        try:
+            pack(f"<{len(keys)}q", *keys)
+            low = pack(f"<{len(vals)}q", *vals)
+        except StructError:
+            return _read(_int_samples(x), False)
+    order = sorted(keys)
+    if order != keys:                   # not inserted in key order
+        vals, low = list(map(x.__getitem__, order)), None
+    top = max(map(abs, vals), default=0)
+    if low is None and not top >> 63:
+        low = pack(f"<{len(vals)}q", *vals)
+    return x, order, top, low
+
+
+def _windows(y: List[List[int]], reach: int) -> Iterator[Tuple[int, int]]:
+    """The sorted indices y of one signal or a channel pair as runs (lo, hi) of
     channel indices lo .. hi - 1.  Runs are cut only where channel indices
     lie over 2 * reach apart, and each window pads its run by reach on both
     sides: whatever moves a sample by at most reach then gives the same
     values as one window over all, and no window holds another's index."""
     phases = 3 - len(y)
-    keys = sorted(y[0].keys() | y[1].keys() if len(y) > 1 else y[0])
+    keys = sorted(y[0] + y[1]) if len(y) > 1 else y[0]     # a merge of two sorted runs
     gap = phases * (2 * reach + 1) - 1
-    holes = keys[-1] - keys[0] + 1 - len(keys) if keys else 0  # a cut needs gap of them
+    holes = keys[-1] - keys[0] + 1 - max(map(len, y)) if keys else 0  # >= the union's; a cut needs gap
     cuts = [i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap] if holes >= gap else []
     bounds = [0, *cuts, len(keys)] if keys else []
     for i, j in zip(bounds, bounds[1:]):
@@ -95,22 +120,30 @@ class _Window:
         self.rounding = rounding
         self.ones = int.from_bytes((b"\1" + bytes(8 * j - 1)) * n, "little")
 
-    def _pack(self, x: Mapping[int, int], start: int, phases: int, top: int) -> List[int]:
-        """The windows of the phases channels that x interleaves, from
-        channel index start on, x's samples being at most top in magnitude.
-        x is read once over the window; each of the k = _width(top) two's
-        complement limbs of its samples is packed little-endian in one
-        call and copied strided into the low k limbs of the j-limb digits.
+    def _pack(self, r: _Read, start: int, phases: int) -> List[int]:
+        """The windows of the phases channels that r = (x, keys, top, low)
+        of _read interleaves, from channel index start on.  Each of the k =
+        _width(top) two's complement limbs of the window's samples is packed
+        little-endian in one call and copied strided into the low k limbs of
+        the j-limb digits: low's slice padded with zeros for one limb and a
+        run of keys with no gap, else from x read once over the window.
         Flipping each digit's bit 64 * k - 1 then biases it by 2^(64 k - 1),
         which comes off again."""
-        j, n, k = self.j, self.n, _width(top)
-        vals = list(map(x.get, range(phases * start, phases * (start + n)), repeat(0)))
+        (x, keys, top, low), j, n = r, self.j, self.n
+        k, lo, hi = _width(top), phases * start, phases * (start + n)
+        a, b = bisect_left(keys, lo), bisect_left(keys, hi)
+        dense = k == 1 and a < b and keys[b - 1] - keys[a] == b - 1 - a
+        vals = [] if dense else list(map(x.get, range(lo, hi), repeat(0)))
         wide = bytearray(8 * j * n * phases)
         digits = memoryview(wide).cast("Q")
         for i in range(k):
             src = map(rshift, vals, repeat(64 * i)) if i else vals
-            limb = pack(f"<{len(vals)}q", *src) if i == k - 1 else \
-                pack(f"<{len(vals)}Q", *map(and_, src, repeat(_MASK)))
+            if dense:
+                limb = bytes(8 * (keys[a] - lo)) + low[8 * a:8 * b] + bytes(8 * (hi - 1 - keys[b - 1]))
+            elif i == k - 1:
+                limb = pack(f"<{len(vals)}q", *src)
+            else:
+                limb = pack(f"<{len(vals)}Q", *map(and_, src, repeat(_MASK)))
             limb = memoryview(limb).cast("Q")
             for p in range(phases):
                 digits[j * n * p + i:j * n * (p + 1):j] = limb[p::phases]
@@ -245,8 +278,8 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     """c's analysis (sign = 1) of the signal y = (x,), or synthesis of the
     channel pair y, integer numerators over dens: the other side, nonzero
     numerators over one denominator per mapping: the lcm of the reduced
-    denominators its windows read out.  A _Bound runs the stages first to
-    size the windows; a singular base raises before that."""
+    denominators its windows read out.  _read checks y when rounding, a
+    _Bound sizes the windows, and a singular base raises before both."""
     gain = IDENTITY if c.scale == 1 else scaling_matrix(c.scale if sign > 0 else 1 / c.scale)
     base = c.base if sign > 0 or rounding else c.base.inverse()    # reversible: base I
     pre, steps, post = (base, c.steps, gain) if sign > 0 else (gain, c.steps[::-1], base)
@@ -255,16 +288,16 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
         return win._apply(post, _ladder(steps, win._apply(pre, v), win._lift, sign))
 
     q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
-    tops = [max(map(abs, x.values()), default=0) for x in y]
+    reads = [_read(x, rounding) for x in y]
+    tops = [t for _, _, t, _ in reads]
     bound = _Bound(rounding)
     out = stages(bound, list(zip([t for t in tops for _ in range(3 - q)], dens)))
     bounds = [m for m, _ in out]
     top = max(bound.top, *tops, *bounds)
     parts: List[list] = [[] for _ in range(0, 2, q)]    # (first index, values, den) per window
-    for lo, hi in _windows(y, reach):
+    for lo, hi in _windows([keys for _, keys, _, _ in reads], reach):
         win = _Window(hi - lo + 2 * reach, top, rounding)
-        out = stages(win, list(zip([w for x, t in zip(y, tops)
-                                    for w in win._pack(x, lo - reach, 3 - q, t)], dens)))
+        out = stages(win, list(zip([w for r in reads for w in win._pack(r, lo - reach, 3 - q)], dens)))
         for i, (vals, d) in enumerate(win._unpack(out, bounds)):
             parts[i // q].append((q * (lo - reach) + i % q, vals, d))
     res = []
@@ -379,7 +412,7 @@ def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPai
         raise InvalidArgument(f"reversible_analysis takes a mapping of integer samples, "
                               f"got {_kind(x)}")
     _check_reversible(c)
-    (y0, _), (y1, _) = _run(c, (_int_samples(x),), 1, True)
+    (y0, _), (y1, _) = _run(c, (x,), 1, True)
     return y0, y1
 
 
@@ -390,7 +423,7 @@ def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
         raise InvalidArgument(f"reversible_synthesis takes a pair of integer channel "
                               f"mappings, got {_kind(y)}")
     _check_reversible(c)
-    (x, _), = _run(c, (_int_samples(y[0]), _int_samples(y[1])), -1, True)
+    (x, _), = _run(c, tuple(y), -1, True)
     return x
 
 

@@ -84,15 +84,17 @@ def test_regex_digits_are_ascii(path):
 
 
 def test_window_samples_cross_in_c():
-    # _Window._pack and _unpack move every sample of a window: through
-    # map, struct, int.from_bytes/to_bytes and memoryview, never through a
-    # Python loop per sample.  A loop may only count limbs or channels.
+    # The reader _read and _Window._pack and _unpack move every sample of
+    # a mapping or a window: through list, sorted, map, struct,
+    # int.from_bytes/to_bytes and memoryview, never through a Python loop
+    # per sample.  A loop may only count limbs or channels.
     path = Path(liftbank.__file__).parent / "transform.py"
-    window = next(node for node in tree(path).body
+    module = tree(path).body
+    window = next(node for node in module
                   if isinstance(node, ast.ClassDef) and node.name == "_Window")
-    methods = [node for node in window.body
-               if isinstance(node, ast.FunctionDef) and node.name in ("_pack", "_unpack")]
-    assert len(methods) == 2
+    methods = [node for node in window.body + module
+               if isinstance(node, ast.FunctionDef) and node.name in ("_pack", "_unpack", "_read")]
+    assert len(methods) == 3
     for method in methods:
         nodes = list(ast.walk(method))
         comps = [node.lineno for node in nodes
@@ -100,5 +102,5 @@ def test_window_samples_cross_in_c():
         loops = [node.lineno for node in nodes if isinstance(node, (ast.For, ast.While))
                  and not (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
                           and getattr(node.iter.func, "id", None) == "range")]
-        assert not comps, f"_Window.{method.name}: comprehensions at lines {comps}"
-        assert not loops, f"_Window.{method.name}: loops not over range() at lines {loops}"
+        assert not comps, f"{method.name}: comprehensions at lines {comps}"
+        assert not loops, f"{method.name}: loops not over range() at lines {loops}"

@@ -3,6 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -234,12 +235,21 @@ def dyadic_cascades(draw):
 
 @st.composite
 def signals(draw, r):
-    """Dense, sparse and empty signals, and two blocks whose nearest
-    channel indices are exactly 2R or 2R + 1 apart, R being the reach."""
-    kind = draw(st.sampled_from(["dense", "sparse", "gap"]))
-    if kind == "dense":
+    """Dense, sparse and empty signals; dense ones inserted in shuffled key
+    order or holding many zero samples, whose keys still have no gap;
+    blocks at keys beyond +-2^63; and two blocks whose nearest channel
+    indices are exactly 2R or 2R + 1 apart, R being the reach."""
+    kind = draw(st.sampled_from(["dense", "shuffled", "zeros", "far", "sparse", "gap"]))
+    if kind in ("dense", "shuffled", "zeros"):
         start = draw(st.integers(-40, 40))
-        return {start + i: v for i, v in enumerate(draw(st.lists(samples, max_size=48)))}
+        vals = draw(st.lists(st.just(0) | samples if kind == "zeros" else samples, max_size=48))
+        items = list(enumerate(vals, start))
+        return dict(draw(st.permutations(items)) if kind == "shuffled" else items)
+    if kind == "far":
+        start = draw(st.sampled_from([2 ** 63 - 9, -2 ** 63 - 9, 2 ** 64, -2 ** 70]))
+        x = dict(enumerate(draw(st.lists(samples, max_size=24)), start))
+        x.update(draw(st.dictionaries(st.integers(-10, 10), samples, max_size=4)))
+        return x
     if kind == "sparse":
         return draw(st.dictionaries(st.integers(-10 ** 6, 10 ** 6), samples, max_size=12))
     a = draw(st.integers(-20, 20))
@@ -339,11 +349,15 @@ def exact_cascades(draw):
 @st.composite
 def rational_signals(draw, r):
     """Dense and empty signals of rational samples with mixed
-    denominators, and two blocks whose nearest channel indices are
-    exactly 2R or 2R + 1 apart, R being the reach of base and steps."""
-    kind = draw(st.sampled_from(["dense", "empty", "gap"]))
+    denominators, a block at indices beyond +-2^63, and two blocks whose
+    nearest channel indices are exactly 2R or 2R + 1 apart, R being the
+    reach of base and steps."""
+    kind = draw(st.sampled_from(["dense", "empty", "far", "gap"]))
     if kind == "empty":
         return LaurentPoly()
+    if kind == "far":       # indices beyond +-2^63
+        start = draw(st.sampled_from([2 ** 63 - 9, -2 ** 63 - 9, 2 ** 64, -2 ** 70]))
+        return LaurentPoly(dict(enumerate(draw(st.lists(rational_samples, max_size=24)), start)))
     if kind == "dense":
         start = draw(st.integers(-40, 40))
         vals = draw(st.lists(rational_samples, min_size=1, max_size=40))
@@ -449,8 +463,9 @@ class TestWindowPrimitives:
         want = [direct_window([x.get(phases * (start + i) + p, 0) for i in range(n)], j)
                 for p in range(phases)]
         # packed at the samples' own width and at the window's
-        for top in (max(map(abs, x.values()), default=0), (1 << 64 * j - 2) - 1):
-            assert win._pack(x, start, phases, top) == want
+        x, keys, top, low = transform._read(x, False)
+        for top in (top, (1 << 64 * j - 2) - 1):
+            assert win._pack((x, keys, top, low), start, phases) == want
 
     @settings(max_examples=300)
     @given(st.data())
@@ -567,6 +582,49 @@ class TestReversibleInputs:
     def test_synthesis_refuses_non_integer_coefficients(self, y):
         with pytest.raises(NonIntegerInput):
             reversible_synthesis(self.c, y)
+
+    # Gap-free 1,024-sample inputs, whose windows fill from the reader's
+    # pack of the values: the analysis signal, and a synthesis channel pair.
+    dense = {k: (k * 7919) % 23 - 11 for k in range(1024)}
+    pair = ({k: v for k, v in dense.items() if k < 512},
+            {k - 512: v for k, v in dense.items() if k >= 512})
+
+    @pytest.mark.parametrize("v", [2.0, True, 2 ** 64])
+    def test_gap_free_mappings_take_integer_valued_samples(self, v):
+        y = reversible_analysis(self.c, {**self.dense, 1023: v})
+        assert y == ref_analysis(self.c, {**self.dense, 1023: int(v)})
+        x = reversible_synthesis(self.c, (self.pair[0], {**self.pair[1], 511: v}))
+        assert x == reversible_synthesis(self.c, (self.pair[0], {**self.pair[1], 511: int(v)}))
+        assert all(type(w) is int for ch in (*y, x) for w in ch.values())
+
+    def test_gap_free_mappings_name_a_non_integer_last_sample(self):
+        with pytest.raises(NonIntegerInput, match=re.escape("sample 1023 is Fraction(1, 2)")):
+            reversible_analysis(self.c, {**self.dense, 1023: F(1, 2)})
+        with pytest.raises(NonIntegerInput, match=re.escape("sample 511 is Fraction(1, 2)")):
+            reversible_synthesis(self.c, (self.pair[0], {**self.pair[1], 511: F(1, 2)}))
+
+    def test_mapping_proxies_pass(self):
+        y = reversible_analysis(self.c, MappingProxyType(self.dense))
+        assert y == reversible_analysis(self.c, self.dense) == ref_analysis(self.c, self.dense)
+        assert reversible_synthesis(self.c, tuple(map(MappingProxyType, self.pair))) == \
+            reversible_synthesis(self.c, self.pair) == \
+            {k: v for k, v in ref_synthesis(self.c, self.pair).items() if v}
+
+    def test_key_past_two_to_the_64_round_trips(self):
+        x = {**self.dense, 2 ** 70: 5}
+        y = reversible_analysis(self.c, x)
+        assert y == ref_analysis(self.c, x) and 2 ** 69 in y[0]
+        assert reversible_synthesis(self.c, y) == {k: v for k, v in x.items() if v}
+
+    def test_all_int_mappings_are_not_converted(self, monkeypatch):
+        calls = []
+        sample = transform._int_sample
+        monkeypatch.setattr(transform, "_int_sample", lambda k, v: calls.append(k) or sample(k, v))
+        reversible_synthesis(self.c, reversible_analysis(self.c, self.dense))
+        reversible_synthesis(self.c, self.pair)
+        assert calls == []
+        reversible_analysis(self.c, {**self.dense, 5: 2.0})
+        assert len(calls) == 1024
 
 
 class TestVerifyPR:
