@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import and_, index, lshift, or_, rshift, sub
-from struct import error as StructError, pack
+from struct import pack
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
@@ -54,21 +54,18 @@ def _read(x: Mapping[int, int], check: bool) -> _Read:
     """(x, keys, top, low): x's keys sorted, its largest |value| and, if
     that fits one signed 64-bit limb, its values in key order packed as
     such limbs (else None); keys and values are each listed in one pass.
-    With check, the pack of the keys and the one of the values are the
-    integer check: what they refuse (a non-int, or past +-2^63) goes
-    through _int_samples, which raises or converts, and is read again."""
+    With check, a mapping whose keys and values are not all of type int
+    goes through _int_samples, which raises or converts, and is read
+    again.  The test is on type, not on what struct takes: struct reads
+    any __index__, where _int_sample reads int(v) and compares it to v."""
     keys, vals, low = list(x), list(x.values()), None
-    if check:
-        try:
-            pack(f"<{len(keys)}q", *keys)
-            low = pack(f"<{len(vals)}q", *vals)
-        except StructError:
-            return _read(_int_samples(x), False)
+    if check and [*map(type, keys), *map(type, vals)].count(int) < 2 * len(keys):
+        return _read(_int_samples(x), False)
     order = sorted(keys)
     if order != keys:                   # not inserted in key order
-        vals, low = list(map(x.__getitem__, order)), None
+        vals = list(map(x.__getitem__, order))
     top = max(map(abs, vals), default=0)
-    if low is None and not top >> 63:
+    if not top >> 63:
         low = pack(f"<{len(vals)}q", *vals)
     return x, order, top, low
 
@@ -132,19 +129,18 @@ class _Window:
         (x, keys, top, low), j, n = r, self.j, self.n
         k, lo, hi = _width(top), phases * start, phases * (start + n)
         a, b = bisect_left(keys, lo), bisect_left(keys, hi)
-        dense = k == 1 and a < b and keys[b - 1] - keys[a] == b - 1 - a
-        vals = [] if dense else list(map(x.get, range(lo, hi), repeat(0)))
+        if k == 1 and a < b and keys[b - 1] - keys[a] == b - 1 - a:    # no gap
+            limbs = [bytes(8 * (keys[a] - lo)) + low[8 * a:8 * b] + bytes(8 * (hi - 1 - keys[b - 1]))]
+        else:
+            vals, limbs = list(map(x.get, range(lo, hi), repeat(0))), []
+            for i in range(k):
+                src = map(rshift, vals, repeat(64 * i)) if i else vals
+                limbs.append(pack(f"<{len(vals)}q", *src) if i == k - 1 else
+                             pack(f"<{len(vals)}Q", *map(and_, src, repeat(_MASK))))
         wide = bytearray(8 * j * n * phases)
         digits = memoryview(wide).cast("Q")
         for i in range(k):
-            src = map(rshift, vals, repeat(64 * i)) if i else vals
-            if dense:
-                limb = bytes(8 * (keys[a] - lo)) + low[8 * a:8 * b] + bytes(8 * (hi - 1 - keys[b - 1]))
-            elif i == k - 1:
-                limb = pack(f"<{len(vals)}q", *src)
-            else:
-                limb = pack(f"<{len(vals)}Q", *map(and_, src, repeat(_MASK)))
-            limb = memoryview(limb).cast("Q")
+            limb = memoryview(limbs[i]).cast("Q")
             for p in range(phases):
                 digits[j * n * p + i:j * n * (p + 1):j] = limb[p::phases]
         high = self.ones << 64 * k - 1

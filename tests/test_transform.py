@@ -544,6 +544,27 @@ class TestExactInputs:
             apply_synthesis(LiftingCascade(), y)
 
 
+class Index:
+    """Not an int, but with the __index__ that struct reads."""
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+class Integral(Index):
+    """An integer of another type: int(v) == v, and it hashes as int(v)."""
+    def __int__(self):
+        return self.v
+
+    def __eq__(self, other):
+        return self.v == other
+
+    def __hash__(self):
+        return hash(self.v)
+
+
 class TestReversibleInputs:
     c = LiftingCascade(F(1), (lower(LaurentPoly({-1: F(-1, 2), 0: F(-1, 2)})),))
 
@@ -589,7 +610,7 @@ class TestReversibleInputs:
     pair = ({k: v for k, v in dense.items() if k < 512},
             {k - 512: v for k, v in dense.items() if k >= 512})
 
-    @pytest.mark.parametrize("v", [2.0, True, 2 ** 64])
+    @pytest.mark.parametrize("v", [2.0, True, 2 ** 64, Integral(-7)])
     def test_gap_free_mappings_take_integer_valued_samples(self, v):
         y = reversible_analysis(self.c, {**self.dense, 1023: v})
         assert y == ref_analysis(self.c, {**self.dense, 1023: int(v)})
@@ -597,11 +618,19 @@ class TestReversibleInputs:
         assert x == reversible_synthesis(self.c, (self.pair[0], {**self.pair[1], 511: int(v)}))
         assert all(type(w) is int for ch in (*y, x) for w in ch.values())
 
-    def test_gap_free_mappings_name_a_non_integer_last_sample(self):
-        with pytest.raises(NonIntegerInput, match=re.escape("sample 1023 is Fraction(1, 2)")):
-            reversible_analysis(self.c, {**self.dense, 1023: F(1, 2)})
-        with pytest.raises(NonIntegerInput, match=re.escape("sample 511 is Fraction(1, 2)")):
-            reversible_synthesis(self.c, (self.pair[0], {**self.pair[1], 511: F(1, 2)}))
+    @pytest.mark.parametrize("v", [F(1, 2), Index(3)])
+    def test_gap_free_mappings_name_a_non_integer_last_sample(self, v):
+        with pytest.raises(NonIntegerInput, match=re.escape(f"sample 1023 is {v!r}")):
+            reversible_analysis(self.c, {**self.dense, 1023: v})
+        with pytest.raises(NonIntegerInput, match=re.escape(f"sample 511 is {v!r}")):
+            reversible_synthesis(self.c, (self.pair[0], {**self.pair[1], 511: v}))
+
+    def test_gap_free_mappings_take_integer_keys_of_other_types(self):
+        x = {**{k: self.dense[k] for k in range(1023)}, Integral(1023): -7}
+        assert reversible_analysis(self.c, x) == ref_analysis(self.c, {**self.dense, 1023: -7})
+        first = {k: self.pair[1][k] for k in range(511)}
+        assert reversible_synthesis(self.c, (self.pair[0], {**first, Integral(511): -7})) == \
+            reversible_synthesis(self.c, (self.pair[0], {**first, 511: -7}))
 
     def test_mapping_proxies_pass(self):
         y = reversible_analysis(self.c, MappingProxyType(self.dense))
