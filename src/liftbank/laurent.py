@@ -12,8 +12,9 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import index
+from operator import floordiv, index
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import EmptySupport, InvalidArgument
@@ -32,6 +33,12 @@ def _canonical(num: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
     elif 0 in num.values():
         num = {n: v for n, v in num.items() if v}
     return (num, den) if num else (num, 1)
+
+
+def _lowest(vals: List[int], den: int, part: int) -> Tuple[List[int], int]:
+    """vals / den in lowest terms, given a divisor part of den that gcd(den, *vals) divides."""
+    g = gcd(part, *vals) if part > 1 else 1
+    return (list(map(floordiv, vals, repeat(g))), den // g) if g > 1 else (vals, den)
 
 
 def _muladd(c: Dict[int, int], a: Dict[int, int], b: Dict[int, int], f: int) -> Dict[int, int]:

@@ -25,8 +25,8 @@ from struct import pack
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
-from .laurent import LaurentPoly
-from .lifting import LiftingCascade, _ladder, lower, scaling_matrix
+from .laurent import LaurentPoly, _lowest
+from .lifting import LiftingCascade, _ladder, lower
 from .polyphase import IDENTITY, PolyphaseMatrix
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
@@ -76,12 +76,16 @@ def _windows(y: List[List[int]], reach: int) -> Iterator[Tuple[int, int]]:
     lie over 2 * reach apart, and each window pads its run by reach on both
     sides: whatever moves a sample by at most reach then gives the same
     values as one window over all, and no window holds another's index."""
-    phases = 3 - len(y)
-    keys = sorted(y[0] + y[1]) if len(y) > 1 else y[0]     # a merge of two sorted runs
+    phases, y = 3 - len(y), [keys for keys in y if keys]
+    if not y:
+        return
+    first, last = min(keys[0] for keys in y), max(keys[-1] for keys in y)
     gap = phases * (2 * reach + 1) - 1
-    holes = keys[-1] - keys[0] + 1 - max(map(len, y)) if keys else 0  # >= the union's; a cut needs gap
-    cuts = [i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap] if holes >= gap else []
-    bounds = [0, *cuts, len(keys)] if keys else []
+    if last - first + 1 - max(map(len, y)) < gap:   # >= the union's holes; a cut needs gap
+        yield first // phases, last // phases + 1
+        return
+    keys = sorted(y[0] + y[1]) if len(y) > 1 else y[0]     # a merge of two sorted runs
+    bounds = [0, *(i for i, d in enumerate(map(sub, keys[1:], keys), 1) if d > gap), len(keys)]
     for i, j in zip(bounds, bounds[1:]):
         yield keys[i] // phases, keys[j - 1] // phases + 1
 
@@ -171,16 +175,18 @@ class _Window:
         return lo
 
     def _unpack(self, out: List[Channel], bounds: List[int]) -> List[Tuple[List[int], int]]:
-        """The digits of each channel (w, den) in out, emptying out so that
-        one packed window at a time is read, bounds[i] bounding channel i.
-        Each channel is first divided by the largest 2^s that divides den
-        and every digit; then only the limbs its reduced bound needs are
-        read, the top one signed, from the two's complement of the digits."""
-        j, n, high = self.j, self.n, self.ones << self.bits - 1
+        """The digits of each channel (w, den) in out in lowest terms, emptying
+        out so that one packed window at a time is read, bounds[i] bounding
+        channel i.  The largest 2^s <= 2^(B-2) that divides den and every digit
+        is divided out first, and only the limbs the reduced bound needs are
+        read, the top one signed; one gcd with the odd part of den / 2^s, or
+        all of it when s is B - 2, then divides out the rest."""
+        j, n, cap, high = self.j, self.n, self.bits - 2, self.ones << self.bits - 1
         res = []
         for i in range(len(out)):
             w, d = out.pop(0)
-            s = self._twos(w, min((d & -d).bit_length() - 1, self.bits - 2))
+            t = (d & -d).bit_length() - 1
+            s = self._twos(w, min(t, cap))
             if s:
                 w >>= s
                 d >>= s
@@ -192,7 +198,7 @@ class _Window:
             vals = _limbs(raw, "q")[k - 1::j]
             for m in range(k - 2, -1, -1):
                 vals = map(or_, map(lshift, vals, repeat(64)), _limbs(raw, "Q")[m::j])
-            res.append((list(vals), d))
+            res.append(_lowest(list(vals), d, d >> t - s if s < cap else d))
         return res
 
     def _conv(self, acc: int, num: Dict[int, int], f: int, src: int, den: int = 1,
@@ -239,8 +245,6 @@ class _Window:
     def _apply(self, m: PolyphaseMatrix, y: List[Channel]) -> List[Channel]:
         """The 2x2 matrix m applied to the channel pair y: each output is a
         sum of up to two window convolutions over their denominators' lcm."""
-        if m == IDENTITY:
-            return y
         out = []
         for row in (m.row0, m.row1):
             parts = [(f, w, d * f._den) for f, (w, d) in zip((row.comp0, row.comp1), y) if f]
@@ -272,16 +276,26 @@ class _Bound(_Window):
 def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, rounding: bool,
          dens: Tuple[int, int] = (1, 1)) -> List[Tuple[Dict[int, int], int]]:
     """c's analysis (sign = 1) of the signal y = (x,), or synthesis of the
-    channel pair y, integer numerators over dens: the other side, nonzero
-    numerators over one denominator per mapping: the lcm of the reduced
-    denominators its windows read out.  _read checks y when rounding, a
-    _Bound sizes the windows, and a singular base raises before both."""
-    gain = IDENTITY if c.scale == 1 else scaling_matrix(c.scale if sign > 0 else 1 / c.scale)
-    base = c.base if sign > 0 or rounding else c.base.inverse()    # reversible: base I
-    pre, steps, post = (base, c.steps, gain) if sign > 0 else (gain, c.steps[::-1], base)
+    channel pair y, integer numerators over dens: the other side in lowest
+    terms, over the lcm of its windows' lowest denominators (the window that
+    reaches the lcm's power of a prime has a numerator it does not divide).
+    Synthesis undoes the stages in reverse order.  _read checks y when
+    rounding, a _Bound sizes the windows, and a singular base raises first."""
+    k, steps, plan = c.scale, c.steps[::sign], []
+    if c.base != IDENTITY:      # reversible: base I
+        base = c.base if sign > 0 else c.base.inverse()
+        plan.append(lambda win, v: win._apply(base, v))
+    plan.append(lambda win, v: _ladder(steps, v, win._lift, sign))
+    if k != 1:      # D_K as in lifting._gain: channel 0 times 1 / K, 1 times K
+        a, b = k.numerator, k.denominator
+        gain = [(b if a > 0 else -b, abs(a)), (a, b)][::sign]     # (numerator, denominator > 0)
+        # a one-tap _conv, so that a _Bound takes the numerator's magnitude
+        plan.append(lambda win, v: [(win._conv(0, {0: f}, 1, w), d * e) for (w, d), (f, e) in zip(v, gain)])
 
     def stages(win: _Window, v: List[Channel]) -> List[Channel]:
-        return win._apply(post, _ladder(steps, win._apply(pre, v), win._lift, sign))
+        for stage in plan[::sign]:
+            v = stage(win, v)
+        return v
 
     q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
     reads = [_read(x, rounding) for x in y]
@@ -330,7 +344,7 @@ def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     is not a LaurentPoly."""
     if not isinstance(x, LaurentPoly):
         raise InvalidArgument(f"apply_analysis takes a LaurentPoly signal, got {_kind(x)}")
-    y0, y1 = (LaurentPoly._reduced(*ch) for ch in _run(c, (x._num,), 1, False, (x._den,) * 2))
+    y0, y1 = (LaurentPoly._make(*ch) for ch in _run(c, (x._num,), 1, False, (x._den,) * 2))
     return y0, y1
 
 
@@ -343,7 +357,7 @@ def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
         raise InvalidArgument(f"apply_synthesis takes a pair of LaurentPoly channels, "
                               f"got {_kind(y)}")
     (x, den), = _run(c, (y[0]._num, y[1]._num), -1, False, (y[0]._den, y[1]._den))
-    return LaurentPoly._reduced(x, den)
+    return LaurentPoly._make(x, den)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +453,11 @@ class PRReport:
 def verify_pr(c: LiftingCascade, trials: int = 32, seed: int = 0) -> PRReport:
     """Sampled perfect-reconstruction check with the a = 1, d = 0 convention.
 
-    Raises InvalidArgument when trials < 1: no sample is no evidence."""
+    Raises InvalidArgument unless trials is an int >= 1: no sample is no evidence."""
+    try:
+        trials = index(trials)
+    except TypeError:
+        raise InvalidArgument(f"verify_pr's trials must be an integer, got {type(trials).__name__}") from None
     if trials < 1:
         raise InvalidArgument(f"verify_pr needs at least one trial, got {trials}")
     rng = random.Random(seed)

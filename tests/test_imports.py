@@ -1,8 +1,9 @@
 """Hygiene of the library modules, checked on their syntax trees:
 imports sit at module level, every imported name is used, no module
 multiplies matrices with `@`, integer numerators are reduced in
-`laurent` alone, no pattern spells a digit `\\d`, and samples cross into
-and out of packed windows in C."""
+`laurent` alone, no pattern spells a digit `\\d`, samples cross into
+and out of packed windows in C, and exact transform outputs leave the
+window in lowest terms."""
 
 import ast
 from pathlib import Path
@@ -104,3 +105,14 @@ def test_window_samples_cross_in_c():
                           and getattr(node.iter.func, "id", None) == "range")]
         assert not comps, f"{method.name}: comprehensions at lines {comps}"
         assert not loops, f"{method.name}: loops not over range() at lines {loops}"
+
+
+def test_exact_outputs_are_reduced_by_the_window():
+    # _Window._unpack hands out each channel in lowest terms and the gain is
+    # two scalar factors, so transform.py neither reduces a polynomial again
+    # nor builds the gain matrix D_K.
+    path = Path(liftbank.__file__).parent / "transform.py"
+    found = [(node.lineno, name) for node in ast.walk(tree(path))
+             for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
+             if name in ("_reduced", "_canonical", "scaling_matrix")]
+    assert not found, f"transform.py: {found}"

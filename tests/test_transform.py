@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftbank import transform
+from liftbank import laurent, lifting, transform
 from liftbank.errors import (InvalidArgument, LiftbankError, NonIntegerInput, NotDyadic,
                              NotUnimodular)
 from liftbank.laurent import LaurentPoly
@@ -501,15 +501,32 @@ class TestWindowReduction:
         assert apply_synthesis(c, y) == x == ref_exact_synthesis(c, y)
         assert limbs == [2] and set(widths) == {1}
 
-    def test_hs_base_leaves_an_odd_gcd(self):
+    def test_hs_base_odd_gcd_is_divided_in_the_window(self, monkeypatch):
         rng = random.Random(24)
         c = rand_hs_cascade(rng, n_steps=3, base=rand_equal_length_hs_base(rng, width=2))
         x = LaurentPoly(rand_int_signal(rng, 64))
         y = apply_analysis(c, x)
+        found, lowest = [], transform._lowest
+        monkeypatch.setattr(transform, "_lowest", lambda vals, den, part: found.append(
+            math.gcd(part, *vals)) or lowest(vals, den, part))
         (num, den), = transform._run(c, (y[0]._num, y[1]._num), -1, False, (y[0]._den, y[1]._den))
-        g = math.gcd(den, *num.values())
-        assert g > 1 and g % 2 == 1
-        assert LaurentPoly._reduced(num, den) == x == ref_exact_synthesis(c, y)
+        assert max(found) > 1 and max(found) % 2 == 1      # the odd factor the window divides out
+        assert math.gcd(den, *num.values()) == 1
+        assert LaurentPoly._make(num, den) == x == ref_exact_synthesis(c, y)
+
+    def test_zero_channel_over_a_capped_power_of_2_has_den_1(self):
+        # y1 = x1 + x0 / 2^100 cancels in every window.  The small numerators
+        # of x over 2^200 leave its numerators zero over 2^300, past the
+        # mask's cap of B - 2 bits.
+        c = LiftingCascade(F(1), (lower(F(1, 2 ** 100)),))
+        x = LaurentPoly({**{2 * i: F(i + 1, 2 ** 100) for i in range(8)},
+                         **{2 * i + 1: F(-(i + 1), 2 ** 200) for i in range(8)},
+                         10 ** 6: F(3, 2 ** 100), 10 ** 6 + 1: F(-3, 2 ** 200)})
+        (y0, d0), (y1, d1) = transform._run(c, (x._num,), 1, False, (x._den,) * 2)
+        assert (y1, d1) == ({}, 1) and d0 == 2 ** 100
+        y = apply_analysis(c, x)
+        assert y == ref_exact_analysis(c, x) and y[1]._den == 1
+        assert apply_synthesis(c, y) == x
 
     def test_windows_reduce_by_different_powers(self, monkeypatch):
         rng = random.Random(0)
@@ -525,6 +542,51 @@ class TestWindowReduction:
         assert apply_synthesis(c, y) == x
         z = (y[1], y[0].shift(-1))
         assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
+
+
+class TestLowestTerms:
+    """_run hands out exact channels in lowest terms, built without a
+    LaurentPoly, a D_K matrix or the inverse of an identity base."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_run_outputs_are_canonical(self, data):
+        c = data.draw(exact_cascades())
+        x = data.draw(rational_signals(exact_reach(c)))
+        y = apply_analysis(c, x)
+        outs = transform._run(c, (x._num,), 1, False, (x._den,) * 2)
+        # synthesis of an analysis, and of coefficients that no analysis produced
+        for v in (y, (y[1], y[0].shift(-1))):
+            outs += transform._run(c, (v[0]._num, v[1]._num), -1, False, (v[0]._den, v[1]._den))
+        for num, den in outs:
+            assert 0 not in num.values()
+            assert math.gcd(den, *num.values()) == 1
+
+    def test_ws_round_trip_calls_no_reduction_gain_matrix_or_inverse(self, monkeypatch):
+        rng = random.Random(5)
+        c = LiftingCascade(F(-3, 7), rand_ws_cascade(rng, n_steps=4).steps)
+        x = LaurentPoly({i: F(rng.randint(-99, 99), rng.choice([1, 3, 4])) for i in range(64)})
+        calls = []
+        for owner, name in ((laurent, "_canonical"), (lifting, "scaling_matrix"),
+                            (PolyphaseMatrix, "inverse")):
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        assert apply_synthesis(c, apply_analysis(c, x)) == x
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [F(-3, 7), F(6, 5)])
+    def test_gain_round_trips(self, k):
+        rng = random.Random(11)
+        ws = rand_ws_cascade(rng, n_steps=4)
+        hs = rand_hs_cascade(rng, n_steps=3, base=rand_equal_length_hs_base(rng, width=2))
+        x = LaurentPoly({i: F(rng.randint(-50, 50), rng.choice([1, 3, 7, 10]))
+                         for i in range(-20, 40)})
+        for c in (LiftingCascade(k, ws.steps), LiftingCascade(k, hs.steps, hs.base)):
+            y = apply_analysis(c, x)
+            assert y == ref_exact_analysis(c, x)
+            assert apply_synthesis(c, y) == x
+            z = (y[1], y[0].shift(-1))
+            assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
 
 
 class TestExactInputs:
@@ -668,7 +730,10 @@ class TestVerifyPR:
         c = LiftingCascade(F(1), (), PolyphaseMatrix.from_entries(1, 1, 1, 1))
         assert not verify_pr(c).ok
 
-    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, "3", None])
     def test_no_trials_is_no_verdict(self, trials):
         with pytest.raises(InvalidArgument):
             verify_pr(haar_cascade(), trials=trials)
+
+    def test_true_is_one_trial(self):
+        assert verify_pr(haar_cascade(), trials=True).trials == 1
