@@ -1,11 +1,13 @@
 """Line-oriented text formats for filter banks and lifting cascades.
 
-Bank file: optional `bank <name>` header, sections `h0:` and `h1:`, tap
-lines `tap <n> <p>/<q>` (`/<q>` omitted for integers), `#` comments.
+Bank file: optional `bank <name>` header (once, before the sections),
+sections `h0:` and `h1:`, tap lines `tap <n> <p>/<q>` (`/<q>` omitted for
+integers), `#` comments.
 Cascade file: optional `scale <p>/<q>`, blocks `step U` / `step L` with
 tap lines in application order (first-applied step first), then an
 optional `base:` block embedding a bank, which runs to the end of the
-file.  parse/print round-trip is the identity on canonical files.
+file.  Both are read line by line, so every error names its line.
+parse/print round-trip is the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -22,41 +24,10 @@ from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 _INDEX = re.compile(r"[+-]?[0-9]+")
-
-# The one-pass reader: a file as the printers write it, give or take
-# comments, blank lines, spaces, tabs, `+` signs and CRLF, is matched whole
-# by _BANK or _CASCADE (no zero number, no digit run that int() could
-# refuse), and its taps are read off _TAP's groups.  Other text, every error
-# included, goes to the line reader below, which numbers the lines.  A text
-# matches in at most one way; comments and names hold no line break that
-# str.splitlines knows.  Each block of tap lines, and the run of step
-# blocks, is matched atomically (_atomic), so a mismatch past it never
-# retries shorter digit runs inside it and costs linear time.
-_FREE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"
-_EOL = r"(?:\r?\n|\Z)"
-_END = rf"[ \t]*(?:#{_FREE}*)?{_EOL}"           # the rest of a line
+# A tap line that plain int() reads: digit runs up to _CHUNK_DIGITS and a
+# nonzero denominator.  Other tap lines take _parse_tap's token checks.
 _DIGITS = rf"[0-9]{{1,{_CHUNK_DIGITS}}}"
-_NONZERO = rf"(?=0*[1-9]){_DIGITS}"
-_TAPS = rf"(?:[ \t]*tap[ \t]+[+-]?{_DIGITS}[ \t]+[+-]?{_NONZERO}(?:/{_NONZERO})?{_END}|{_END})*"
-
-
-def _atomic(name: str, pattern: str) -> str:
-    """pattern as group name, matched the longest way and never
-    backtracked into: the lookahead captures, the backreference consumes.
-    An atomic group in a form that Python 3.10 reads; it matches what the
-    plain group would wherever nothing after it can start with what
-    pattern repeats."""
-    return rf"(?=(?P<{name}>{pattern}))(?P={name})"
-
-
-_BODY = rf"[ \t]*h0:{_END}{_atomic('h0', _TAPS)}[ \t]*h1:{_END}{_atomic('h1', _TAPS)}"
-_BANK = re.compile(rf"(?:{_END})*(?:[ \t]*bank(?:[ \t]{_FREE}*)?{_EOL}(?:{_END})*)?{_BODY}")
-_CASCADE = re.compile(rf"(?:{_END})*(?:[ \t]*scale[ \t]+(?P<p>[+-]?{_NONZERO})"
-                      rf"(?:/(?P<q>{_NONZERO}))?{_END}(?:{_END})*)?"
-                      + _atomic("steps", rf"(?:[ \t]*step[ \t]+[UL]{_END}{_TAPS})*")
-                      + rf"(?:[ \t]*base:{_END}(?:{_END})*{_BODY})?")
-_TAP = re.compile(r"^[ \t]*tap[ \t]+([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)(?:/([0-9]+))?", re.M)
-_STEP = re.compile(r"^[ \t]*step[ \t]+([UL])", re.M)
+_TAP = re.compile(rf"tap\s+([+-]?{_DIGITS})\s+([+-]?{_DIGITS})(?:/((?=0*[1-9]){_DIGITS}))?")
 
 
 def _clip(text: str, keep: int = 40) -> str:
@@ -81,12 +52,19 @@ def _parse_rational(tok: str, line_no: int) -> Tuple[int, int]:
 
 def _lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield i, line
 
 
 def _parse_tap(line: str, line_no: int, taps: dict):
+    m = _TAP.fullmatch(line)
+    if m:
+        n, p, q = m.groups()
+        n, p = int(n), int(p)
+        if p and n not in taps:
+            taps[n] = (p, int(q or 1))
+            return
     parts = line.split()
     if len(parts) != 3:
         raise ParseError("tap line must be `tap <n> <p>[/<q>]`", line=line_no)
@@ -110,19 +88,22 @@ def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
     """The bank in (line number, text) pairs; line numbers a missing section."""
     filters: dict = {}
     current: Optional[dict] = None
+    named = False
     for line_no, text in numbered_lines:
-        keyword = text.split()[0]
-        if keyword == "bank":
-            continue
-        if text in ("h0:", "h1:"):
+        keyword = text.split(None, 1)[0]
+        if keyword == "tap":
+            if current is None:
+                raise ParseError("tap before any h0:/h1: section", line=line_no)
+            _parse_tap(text, line_no, current)
+        elif text in ("h0:", "h1:"):
             key = text[:2]
             if key in filters:
                 raise ParseError(f"section {text!r} repeated", line=line_no)
             current = filters[key] = {}
-        elif keyword == "tap":
-            if current is None:
-                raise ParseError("tap before any h0:/h1: section", line=line_no)
-            _parse_tap(text, line_no, current)
+        elif keyword == "bank":
+            if named or filters:
+                raise ParseError("bank must come once, before the sections", line=line_no)
+            named = True
         else:
             raise ParseError(f"unrecognized line {_clip(text)}", line=line_no)
     if "h0" not in filters or "h1" not in filters:
@@ -130,23 +111,8 @@ def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
     return make_bank(*(LaurentPoly._from_ratios(filters[k]) for k in ("h0", "h1")))
 
 
-def _block(text: str) -> Optional[LaurentPoly]:
-    """The filter of tap lines that _BANK or _CASCADE matched, or None if
-    a tap repeats, which the line reader reports."""
-    found = _TAP.findall(text)
-    taps = {int(n): (int(p), int(q or 1)) for n, p, q in found}
-    return LaurentPoly._from_ratios(taps) if len(taps) == len(found) else None
-
-
-def _match_bank(m: re.Match) -> Optional[PolyphaseMatrix]:
-    """The bank of a _BANK or _CASCADE match, or None if a tap repeats."""
-    h = [_block(m["h0"]), _block(m["h1"])]
-    return None if None in h else make_bank(*h)
-
-
 def parse_bank(text: str) -> PolyphaseMatrix:
-    m = _BANK.fullmatch(text)
-    return (m and _match_bank(m)) or _read_bank(_lines(text))
+    return _read_bank(_lines(text))
 
 
 def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
@@ -164,26 +130,22 @@ def print_bank(h: PolyphaseMatrix, name: Optional[str] = None) -> str:
 
 
 def parse_cascade(text: str) -> LiftingCascade:
-    m = _CASCADE.fullmatch(text)
-    if m:
-        blocks = _STEP.split(m["steps"])[1:]        # U or L, then its tap lines
-        filters = [_block(b) for b in blocks[1::2]]
-        base = IDENTITY if m["h0"] is None else _match_bank(m)
-        if base and all(filters):                   # else a repeated tap or an empty step
-            steps = tuple(LiftingStep("UL".index(u), f) for u, f in zip(blocks[::2], filters))
-            return LiftingCascade(Fraction(int(m["p"] or 1), int(m["q"] or 1)), steps, base)
-    return _read_cascade(text)
-
-
-def _read_cascade(text: str) -> LiftingCascade:
     scale = None
-    steps: List[Tuple[int, dict]] = []
+    steps: List[Tuple[int, dict, int]] = []    # (m, taps, line of the step)
     base = IDENTITY
     lines = _lines(text)
     for line_no, line in lines:
         parts = line.split()
         keyword = parts[0]
-        if keyword == "scale":
+        if keyword == "tap":
+            if not steps:
+                raise ParseError("tap before any step block", line=line_no)
+            _parse_tap(line, line_no, steps[-1][1])
+        elif keyword == "step":
+            if len(parts) != 2 or parts[1] not in ("U", "L"):
+                raise ParseError("step line must be `step U` or `step L`", line=line_no)
+            steps.append((0 if parts[1] == "U" else 1, {}, line_no))
+        elif keyword == "scale":
             if steps or scale is not None:
                 raise ParseError("scale must come once, before the steps", line=line_no)
             if len(parts) != 2:
@@ -192,23 +154,15 @@ def _read_cascade(text: str) -> LiftingCascade:
             if p == 0:
                 raise ParseError("scale must be nonzero", line=line_no)
             scale = Fraction(p, q)
-        elif keyword == "step":
-            if len(parts) != 2 or parts[1] not in ("U", "L"):
-                raise ParseError("step line must be `step U` or `step L`", line=line_no)
-            steps.append((0 if parts[1] == "U" else 1, {}))
-        elif keyword == "tap":
-            if not steps:
-                raise ParseError("tap before any step block", line=line_no)
-            _parse_tap(line, line_no, steps[-1][1])
         elif line == "base:":
             base = _read_bank(lines, line_no)  # the rest of the file
         else:
             raise ParseError(f"unrecognized line {_clip(line)}", line=line_no)
 
     lifting_steps = []
-    for i, (m, taps) in enumerate(steps):
+    for i, (m, taps, line_no) in enumerate(steps):
         if not taps:
-            raise ParseError(f"step {i} has no taps")
+            raise ParseError(f"step {i} has no taps", line=line_no)
         lifting_steps.append(LiftingStep(m, LaurentPoly._from_ratios(taps)))
     return LiftingCascade(scale or Fraction(1), tuple(lifting_steps), base)
 

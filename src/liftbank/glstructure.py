@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidArgument, NotAdmissible, NotIrreducible
@@ -233,8 +234,13 @@ def d_invariance_check(g: GroupLiftingStructure, trials: int = 256,
     gamma_K only scales a step filter and each step group is spanned by its
     generators, so the samples are (channel, generator, K) triples.
     Returns None for a reversible structure (D = {1}, no action).  Raises
-    InvalidArgument when trials < 1: no sample is no evidence.
+    InvalidArgument unless trials is an int >= 1: no sample is no evidence.
     """
+    try:
+        trials = index(trials)
+    except TypeError:
+        raise InvalidArgument("d_invariance_check's trials must be an integer, "
+                              f"got {type(trials).__name__}") from None
     if trials < 1:
         raise InvalidArgument(f"d_invariance_check needs at least one trial, got {trials}")
     if g.reversible:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from liftbank.cli import main
 from liftbank.errors import DuplicateTap, ParseError, ZeroTap
-from liftbank import formats
 from liftbank.formats import parse_bank, parse_cascade, print_bank, print_cascade
 from liftbank.laurent import LaurentPoly, _int_str, _str_int
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
@@ -86,9 +85,12 @@ class TestCascadeFormat:
         with pytest.raises(ParseError):
             parse_cascade("tap 0 1\n")
 
-    def test_empty_step_rejected(self):
-        with pytest.raises(ParseError):
-            parse_cascade("step U\nstep L\ntap 0 1\n")
+    @pytest.mark.parametrize("text, line", [("step U\nstep L\ntap 0 1\n", 1),
+                                            ("step U\ntap 0 1\nstep L\n", 3)])
+    def test_empty_step_rejected(self, text, line):
+        with pytest.raises(ParseError, match="has no taps") as e:
+            parse_cascade(text)
+        assert e.value.line == line
 
     def test_empty_base_rejected(self):
         with pytest.raises(ParseError, match="needs both h0: and h1:") as e:
@@ -96,7 +98,8 @@ class TestCascadeFormat:
         assert e.value.line == 3
 
 
-# A keyword followed by more letters is not that keyword.
+# A keyword followed by more letters is not that keyword, and a `bank`
+# header comes at most once, before a bank's (or a base block's) sections.
 @pytest.mark.parametrize("parse, text, line", [
     (parse_cascade, "scalez 2\nstep U\ntap 0 1\n", 1),
     (parse_cascade, "step U\ntap 0 1\nstepper U\ntap 0 1\n", 3),
@@ -104,6 +107,10 @@ class TestCascadeFormat:
     (parse_bank, "bankrupt\nh0:\ntap 0 1\nh1:\ntap 0 1\n", 1),
     (parse_cascade, "step U\ntapx 0 1\n", 2),
     (parse_cascade, "step U\ntap 0 1\n# base\nbase:\nbankrupt\nh0:\ntap 0 1\n", 5),
+    (parse_bank, "h0:\ntap 0 1\nbank x\nh1:\ntap 0 1\n", 3),
+    (parse_bank, "bank a\nbank b\nh0:\ntap 0 1\nh1:\ntap 0 1\n", 2),
+    (parse_bank, "h0:\ntap 0 1\nh1:\ntap 0 1\nbank late\n", 5),
+    (parse_cascade, "step U\ntap 0 1\nbase:\nh0:\ntap 0 1\nbank mid\nh1:\ntap 0 1\n", 6),
 ])
 def test_keywords_match_whole_token(parse, text, line):
     with pytest.raises(ParseError) as e:
@@ -152,6 +159,14 @@ def test_long_tokens_clipped_in_errors(text, what, line):
     assert len(str(e.value)) < 200 and e.value.line == line
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_bank, "# c\n\n bank  x y\n\nh0:\ntap 0 1\nh1:\ntap 0 1\n"),
+    (parse_cascade, "step U\ntap 0 1\nbase:\nbank b\nh0:\ntap 0 1\nh1:\ntap 0 1\n"),
+])
+def test_bank_header_before_the_sections(parse, text):
+    assert parse(text) == parse(text.replace("bank", "# bank"))
+
+
 def test_signed_and_padded_tap_indices():
     h0 = parse_bank("h0:\ntap +3 1\ntap -2 1\ntap 007 1\nh1:\ntap 0 1\n").scalar_filter(0)
     assert h0 == LaurentPoly({3: 1, -2: 1, 7: 1})
@@ -187,7 +202,7 @@ def ref_filter(taps, first_line):
 _NUMBERS = st.one_of(
     st.sampled_from(["2/4", "+3", "007", "-0", "1/0", "0/7", "-6/9", "+12/-3", "x",
                      "1" * 4301, "-" + "3" * 4400 + "/" + "6" * 4305, "0" * 4301 + "5",
-                     "3/" + "0" * 4400]),
+                     "3/" + "0" * 4400, "9" * 512, "9" * 513, "1/" + "0" * 600 + "7"]),
     st.builds("{}{}/{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 40),
               st.integers(0, 12)),
     st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 40)))
@@ -290,24 +305,14 @@ def _decorated(text, rng):
     return eol.join(out) + rng.choice([eol, ""])
 
 
-def _line_reader(parse, text):
-    """What the line-by-line reader makes of text: the value, or the
-    class and line of its ParseError."""
-    if parse is parse_bank:
-        return _outcome(lambda: formats._read_bank(formats._lines(text)))
-    return _outcome(lambda: formats._read_cascade(text))
-
-
-class TestOnePassReader:
-    """The whole-file patterns read what the printers write, decorated or
-    not; any text they do not take gets the line reader's result or error."""
+class TestLineReader:
+    """The reader takes what the printers write, decorated or not, and
+    reports a bad line at its number, in time linear in the file."""
 
     @given(st.integers(0, 2 ** 32))
     def test_decorated_round_trips(self, seed):
         parse, text, value = _drawn_file(seed)
         text = _decorated(text, random.Random(seed))
-        pattern = formats._BANK if parse is parse_bank else formats._CASCADE
-        assert pattern.fullmatch(text)
         assert parse(text) == value
 
     @given(st.data())
@@ -328,8 +333,7 @@ class TestOnePassReader:
             k += 1
         text = "\n".join(lines) + "\n"
         got = _outcome(lambda: parse(text))
-        assert got == _line_reader(parse, text)
-        assert got[1] == k + 1
+        assert isinstance(got, tuple) and got[1] == k + 1
 
     # str.splitlines, and so the line reader, also ends a line at these.
     @pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
@@ -341,11 +345,10 @@ class TestOnePassReader:
     def test_line_breaks_in_comments_end_the_line(self, parse, template, line, brk):
         text = template.format(brk)
         got = _outcome(lambda: parse(text))
-        assert got == _line_reader(parse, text) and got[1] == line
+        assert isinstance(got, tuple) and got[1] == line
 
-    # A pattern that could match a line in two ways would take exponential
-    # time to give up on a file whose last line is bad: seconds for eight
-    # taps a section, forever for a thousand.
+    # A bad last line is found in time linear in the file: no pattern spans
+    # more than one line, so a mismatch never retries the lines before it.
     @pytest.mark.parametrize("n", [8, 1000])
     @pytest.mark.parametrize("last", ["tap x 1", "step U", "tap 0 " + "7" * 600],
                              ids=["index", "keyword", "long-number"])
@@ -357,23 +360,6 @@ class TestOnePassReader:
             parse_bank(text)
         assert time.perf_counter() - start < 0.5
         assert e.value.line == 2 * n + 3
-
-    # A digit run the patterns could backtrack into would be retried at
-    # every shorter length once a late line fails: about one retry per
-    # digit, several times the line reader's whole pass on long numbers.
-    def test_failed_match_costs_less_than_the_line_reader(self):
-        taps = "".join(f"tap {i} {'3' * 500}/{'7' * 500}\n" for i in range(1500))
-        text = f"h0:\n{taps}h1:\n{taps}tap x 1\n"
-        match, reader = [], []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert formats._BANK.fullmatch(text) is None
-            match.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            with pytest.raises(ParseError):
-                formats._read_bank(formats._lines(text))
-            reader.append(time.perf_counter() - start)
-        assert min(match) < min(reader)
 
 
 class TestCommands:

@@ -291,11 +291,14 @@ class TestDInvariance:
         assert d_invariance_check(S_WR) is None
         assert d_invariance_check(S_HR) is None
 
-    def test_no_trials_is_no_evidence(self):
+    @pytest.mark.parametrize("g, trials", [(S_W, 0), (S_H, -5), (S_W, 2.5), (S_H, "3"),
+                                           (S_W, None)])
+    def test_no_trials_is_no_evidence(self, g, trials):
         with pytest.raises(InvalidArgument):
-            d_invariance_check(S_W, trials=0)
-        with pytest.raises(InvalidArgument):
-            d_invariance_check(S_H, trials=-5)
+            d_invariance_check(g, trials=trials)
+
+    def test_true_is_an_integer_trial_count(self):
+        assert d_invariance_check(S_W, trials=True, seed=0) is True
 
 
 class TestRightLiftObstruction:
