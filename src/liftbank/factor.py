@@ -22,8 +22,8 @@ from .errors import (DCZero, FactorizationStuck, InvalidArgument,
                      NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
 from .laurent import LaurentPoly, _canonical, _muladd, _span
-from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _gain, _ladder,
-                      normalize_semidirect)
+from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _filter_lift, _gain,
+                      _ladder, normalize_semidirect)
 from .polyphase import IDENTITY, PolyphaseMatrix, classify_bank, make_bank
 
 # ---------------------------------------------------------------------------
@@ -108,8 +108,12 @@ def _unimodular_on_failure(factor):
 
 
 def _checked(out: LiftingCascade, h: PolyphaseMatrix) -> LiftingCascade:
-    """The one exit of the factorizers: out, once its product is h."""
-    if out.product() != h:
+    """The one exit of the factorizers: out, once its product is h.  The
+    scalar filters determine a bank, so the ladder and gain run on the
+    base's filters, one multiply-add and reduction per step, to meet h's."""
+    b = out.base
+    f = _ladder(out.steps, [b.scalar_filter(0), b.scalar_filter(1)], _filter_lift)
+    if _gain(out.scale, f) != [h.scalar_filter(0), h.scalar_filter(1)]:
         raise FactorizationStuck("product check failed")
     return out
 
@@ -123,15 +127,15 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
 
     Filter i stays centred at its group delay d_i from the class: support
     [a, b] with a + b = 2 d_i.  The filter m of larger order was lifted
-    last, by a step s of its filter group, so its taps i with need = 2i -
-    2 d_m - order(other) > 0 come from s(z^2) * other alone.  The top such
-    tap fixes the one generator z^-n + sign z^-mirror that reaches it
-    (2 (mirror - n) = need) and, by one division, its weight; cancelling
-    it exposes the next.  Each filter is a dict of integer numerators over
-    one positive denominator, so a cancellation is lifted * otop - ltop *
-    (sign * other shifted by 2n + other shifted by 2 mirror), otop and
-    ltop being the top taps of other and lifted, over den * otop: one
-    _muladd of other by that generator, reduced by _canonical.
+    last, by a step s of its filter group, so its taps i above the line,
+    need = 2i - 2 d_m - order(other) > 0, come from s(z^2) * other alone.
+    The top such tap fixes the one generator z^-n + sign z^-mirror that
+    reaches it (2 (mirror - n) = need) and, by one division, its weight;
+    cancelling it exposes the next.  Only these integer numerators are
+    tracked (only a mirror tap's column reaches them), each cancellation
+    scaling them, the weights so far and the denominator by otop, the
+    other filter's top tap; then one _muladd by s(z^2) * other and one
+    _canonical lift the whole filter back.
     """
     cls = classify_bank(h)
     if cls.kind != kind:
@@ -139,9 +143,9 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
     # Integer centres: Fraction arithmetic here would slow every peel.
     two_d = (int(2 * cls.d0), int(2 * cls.d1))
     e = [(f._num, f._den) for f in (h.scalar_filter(0), h.scalar_filter(1))]
+    spans = [_span(num) for num, _ in e]
     peeled: List[LiftingStep] = []
     while True:
-        spans = [_span(num) for num, _ in e]
         orders = [b - a for a, b in spans]
         for i, (a, b) in enumerate(spans):
             if a + b != two_d[i]:
@@ -152,35 +156,50 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
         m = 0 if orders[0] > orders[1] else 1
         (num, den), (other, oden) = e[m], e[1 - m]
         small = orders[1 - m]
+        line = two_d[m] + small     # tap i is above the line iff 2i > line
         otop = other[spans[1 - m][1]]
-        spec = g.filter_spec(m)
-        weights = {}  # tap -> (numerator, denominator) of the step's filter
-        while num:
-            i = max(num)
-            need = 2 * i - two_d[m] - small
-            if need <= 0:
-                break
+        a, sgn = (otop, 1) if otop > 0 else (-otop, -1)
+        down = sorted(other.items(), reverse=True)
+        top = {i: v for i, v in num.items() if 2 * i > line}
+        s, scale = {}, 1    # the step's numerators over den * scale / oden
+        while top:
+            i = max(top)
+            need = 2 * i - line
             # need == 1 gives k == 0; generator 1 then fails the check.
-            n, mirror, sign = spec._taps(max(1, (need // 2 + 1) // 2))
+            n, mirror, sign = g.filter_spec(m)._taps(max(1, (need // 2 + 1) // 2))
             if 2 * (mirror - n) != need:
                 raise _stuck(g, m, orders, "no step of the filter group bridges the order gap")
-            a, b = (otop, num[i]) if otop > 0 else (-otop, -num[i])
+            b = sgn * top[i]
             if a != 1:
-                num = {k: v * a for k, v in num.items()}
-            den *= a
-            weights[n], weights[mirror] = (sign * b * oden, den), (b * oden, den)
-            num, den = _canonical(_muladd(num, other, {2 * n: sign, 2 * mirror: 1}, -b), den)
-        if not num or max(num) - min(num) > small:
+                top = {k: v * a for k, v in top.items()}
+                s = {k: v * a for k, v in s.items()}
+                scale *= a
+            s[n], s[mirror] = sign * b, b
+            for k, v in down:
+                k += 2 * mirror
+                if 2 * k <= line:
+                    break
+                top[k] = top.get(k, 0) - b * v
+            top = {k: v for k, v in top.items() if v}
+        den *= scale
+        # A copy even when scale == 1: num may be h's own filter.
+        num = {k: v * scale for k, v in num.items()}
+        e[m] = _canonical(_muladd(num, other, {2 * k: v for k, v in s.items()}, -1), den)
+        spans[m] = e[m][0] and _span(e[m][0])
+        if not spans[m] or spans[m][1] - spans[m][0] > small:
             raise _stuck(g, m, orders, "peel did not reduce the order")
-        e[m] = (num, den)
-        peeled.append(LiftingStep(m, LaurentPoly._from_ratios(weights)))
+        peeled.append(LiftingStep(m, LaurentPoly._reduced({k: v * oden for k, v in s.items()},
+                                                          den)))
 
 
 def _rescale(c: LiftingCascade, alpha: Fraction) -> LiftingCascade:
     """The alpha-rescaling D_(K/alpha) gamma_alpha(S) D_alpha B of
-    c = D_K S B: the same product, with the gain alpha moved onto the base."""
-    return LiftingCascade(c.scale / alpha, tuple(s.conjugate(alpha) for s in c.steps),
-                          PolyphaseMatrix(*_gain(alpha, [c.base.row0, c.base.row1])))
+    c = D_K S B: the same product, with the gain alpha moved onto the base,
+    which make_bank builds from its scaled filters, so it keeps them."""
+    k = (1 / alpha ** 2, alpha ** 2)    # gamma_alpha's factors on upper, lower steps
+    steps = tuple(LiftingStep(s.m, s.filter.scale(k[s.m])) for s in c.steps)
+    base = _gain(alpha, [c.base.scalar_filter(0), c.base.scalar_filter(1)])
+    return LiftingCascade(c.scale / alpha, steps, make_bank(*base))
 
 
 @_unimodular_on_failure

@@ -24,7 +24,12 @@ class FilterGroupSpec:
     symmetry: SymmetryTag
 
     def member(self, f: LaurentPoly) -> bool:
-        return f.is_zero() or f.symmetry() == self.symmetry
+        """f is zero or has this symmetry: each tap 2 * axis - n is sign
+        times tap n, compared on the integer numerators.  That also puts
+        the support's ends about the axis."""
+        n, mirror, sign = self._taps(1)
+        two_axis, num = n + mirror, f._num
+        return all(num.get(two_axis - k) == sign * v for k, v in num.items())
 
     def basis(self, k: int) -> LaurentPoly:
         """The k-th generator (k >= 1) of the step group, a filter of

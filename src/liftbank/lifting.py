@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import BaseNotIdentity, InvalidArgument, NotIrreducible
-from .laurent import LaurentPoly, Rational, _rational, is_dyadic
+from .laurent import ZERO, LaurentPoly, Rational, _rational, is_dyadic
 from .polyphase import IDENTITY, PolyphaseMatrix, PolyphaseVector
 
 
@@ -73,8 +73,8 @@ def gamma_conjugate(k: Rational, m: PolyphaseMatrix) -> PolyphaseMatrix:
 
 
 def _ladder(steps: Iterable[LiftingStep], y: list, lift, sign: int = 1) -> list:
-    """The one way a cascade is applied, to signal channels and to matrix
-    rows alike: run steps, in the order given, on the pair y = [y0, y1]
+    """The one way a cascade is applied, to signal channels, matrix rows and
+    scalar filters alike: run steps, in the order given, on the pair y = [y0, y1]
     and return it.  Step (m, S) sets y[m] = lift(y[m], S, y[1 - m], sign);
     on matrix rows that is the product with the step's matrix, which adds
     S times row 1 - m to row m.  A cascade runs forward as
@@ -92,6 +92,12 @@ def _exact_lift(dst: PolyphaseVector, filt: LaurentPoly, src: PolyphaseVector,
     instead."""
     return PolyphaseVector(dst.comp0._add_product(src.comp0, filt, sign),
                            dst.comp1._add_product(src.comp1, filt, sign))
+
+
+def _filter_lift(dst: LaurentPoly, filt: LaurentPoly, src: LaurentPoly,
+                 sign: int) -> LaurentPoly:
+    """_exact_lift on the scalar filters the rows carry: dst + sign * S(z^2) * src."""
+    return dst._add_product(src, LaurentPoly._interleave(filt, ZERO), sign)
 
 
 def _gain(k: Fraction, y: list) -> list:

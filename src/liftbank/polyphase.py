@@ -105,6 +105,7 @@ class PolyphaseMatrix:
 
     row0: PolyphaseVector
     row1: PolyphaseVector
+    _filters = None     # (h0, h1) as make_bank was given them; not a field
 
     @classmethod
     def from_entries(cls, e00, e01, e10, e11) -> "PolyphaseMatrix":
@@ -130,8 +131,9 @@ class PolyphaseMatrix:
         return self.row0 if i == 0 else self.row1
 
     def scalar_filter(self, i: int) -> LaurentPoly:
-        """The scalar analysis filter carried by row i."""
-        return synthesize_filter(self.row(i))
+        """The scalar analysis filter carried by row i: the one make_bank was
+        given, else synthesized from the row."""
+        return self._filters[i] if self._filters else synthesize_filter(self.row(i))
 
     # -- algebra -----------------------------------------------------------
 
@@ -235,7 +237,9 @@ def classify_bank(h: PolyphaseMatrix) -> BankClass:
 
 def make_bank(h0: LaurentPoly, h1: LaurentPoly) -> PolyphaseMatrix:
     """Polyphase matrix from the two scalar analysis filters."""
-    return PolyphaseMatrix(analyze_filter(h0), analyze_filter(h1))
+    h = PolyphaseMatrix(analyze_filter(h0), analyze_filter(h1))
+    object.__setattr__(h, "_filters", (h0, h1))
+    return h
 
 
 def haar_bank() -> PolyphaseMatrix:

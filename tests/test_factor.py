@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liftbank.errors import (DCZero, InvalidArgument, LiftbankError,
+from liftbank import factor as factor_module
+from liftbank.errors import (DCZero, FactorizationStuck, InvalidArgument, LiftbankError,
                              NotHSConcentric, NotIrreducible, NotUnimodular,
                              NotWSDelayMinimized)
-from liftbank.factor import (_peel, _stuck, dc_normalize, equivalent_mod_rescaling,
-                             factor_euclidean, factor_hs, factor_ws,
-                             laurent_divmod)
+from liftbank.factor import (_checked, _peel, _stuck, dc_normalize,
+                             equivalent_mod_rescaling, factor_euclidean, factor_hs,
+                             factor_ws, laurent_divmod)
+from liftbank.formats import parse_bank, print_bank, print_cascade
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_W, WA_ZERO,
                                   cascade_in_structure, check_order_increasing)
 from liftbank.laurent import ZERO, LaurentPoly
@@ -19,7 +22,8 @@ from liftbank.linsolve import solve_exact
 from liftbank.lifting import (LiftingCascade, LiftingStep, lower, normalize_semidirect,
                               scaling_matrix, upper)
 from liftbank.polyphase import (IDENTITY, PolyphaseMatrix, PolyphaseVector,
-                                analyze_filter, classify_bank, haar_bank, make_bank)
+                                analyze_filter, classify_bank, haar_bank, make_bank,
+                                synthesize_filter)
 from liftbank.randgen import (rand_dyadic_ws_cascade, rand_hs_cascade,
                               rand_poly, rand_ws_cascade)
 
@@ -225,11 +229,10 @@ class TestFactorHS:
             factor_hs(PolyphaseMatrix.from_entries(1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("radius", [10 ** 6, 10 ** 9])
 class TestWideSteps:
-    """A step of support radius 10^6 is read off from its outer taps: the
-    peel's cost follows the taps, not the order gap."""
-
-    RADIUS = 10 ** 6
+    """A step of support radius 10^6 or 10^9 is read off from its outer
+    taps: the peel's cost follows the taps, not the order gap."""
 
     def check(self, factor, c):
         h = c.product()
@@ -237,13 +240,13 @@ class TestWideSteps:
         assert factor(h) == c
         assert time.perf_counter() - start < 1
 
-    def test_ws(self):
+    def test_ws(self, radius):
         self.check(factor_ws, LiftingCascade(F(1), (
-            lower(HS_MINUS.basis(1)), upper(HS_PLUS.basis(self.RADIUS).scale(F(1, 3))))))
+            lower(HS_MINUS.basis(1)), upper(HS_PLUS.basis(radius).scale(F(1, 3))))))
 
-    def test_hs_over_haar(self):
+    def test_hs_over_haar(self, radius):
         self.check(factor_hs, LiftingCascade(F(1), (
-            lower(WA_ZERO.basis(1)), upper(WA_ZERO.basis(self.RADIUS).scale(F(2, 5)))),
+            lower(WA_ZERO.basis(1)), upper(WA_ZERO.basis(radius).scale(F(2, 5)))),
             haar_bank()))
 
 
@@ -454,3 +457,119 @@ class TestDeferredDeterminant:
         for fn in FACTORIZERS:
             with pytest.raises(NotUnimodular):
                 fn(h)
+
+
+# ---------------------------------------------------------------------------
+# Kept scalar filters and the scalar-filter exit check
+
+
+# The 5/3 ladder: lower(-1/2 (1 + z)), then upper(1/4 (1 + z^-1)).
+TWO_STEP_WS = LiftingCascade(F(1), (lower(LaurentPoly({-1: F(-1, 2), 0: F(-1, 2)})),
+                                    upper(LaurentPoly({0: F(1, 4), 1: F(1, 4)}))))
+
+
+def _factor_for(c):
+    return factor_ws if c.base == IDENTITY else lambda h: factor_hs(h, normalize_dc=True)
+
+
+class TestBankUntouched:
+    """A bank keeps its scalar filters; factoring it must not write into them."""
+
+    def check(self, c):
+        text = print_bank(c.product())
+        h = parse_bank(text)
+        assert _factor_for(c)(h) is not None
+        assert h == parse_bank(text) and print_bank(h) == text
+        for i in (0, 1):
+            f = h.scalar_filter(i)
+            assert f == synthesize_filter(h.row(i))
+            assert 0 not in f._num.values()
+
+    def test_two_step_ws(self):
+        self.check(TWO_STEP_WS)
+
+    def test_other_matrices_keep_nothing(self):
+        h = TWO_STEP_WS.product()
+        assert h.scalar_filter(0) == synthesize_filter(h.row0) and h._filters is None
+
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_random(self, seed, ws):
+        rng = random.Random(seed)
+        self.check(rand_ws_cascade(rng) if ws else rand_hs_cascade(rng))
+
+
+def _passes(c, h):
+    try:
+        return _checked(c, h) is c
+    except FactorizationStuck:
+        return False
+
+
+class TestExitCheck:
+    """The factorizers' exit check on scalar filters says what
+    c.product() == h says, on products and on near misses."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_agrees_with_product(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        kind = data.draw(st.sampled_from(["ws", "hs", "euclid"]))
+        if kind == "ws":
+            c = rand_ws_cascade(rng)
+        elif kind == "hs":
+            c = rand_hs_cascade(rng)
+        else:
+            c = factor_euclidean(rand_ws_cascade(rng, rng.randint(1, 4)).product(),
+                                 data.draw(st.sampled_from("AB")))
+        h = c.product()
+        assert _passes(c, h)
+        how = data.draw(st.sampled_from(["tap", "gain", "swap", "base"]))
+        if how == "tap":
+            i = data.draw(st.integers(0, 1))
+            f = h.scalar_filter(i)
+            a, b = f.support()
+            bump = LaurentPoly({data.draw(st.integers(a - 1, b + 1)): data.draw(
+                st.sampled_from([1, -1]))})
+            h = make_bank(*(f + bump if j == i else h.scalar_filter(j) for j in (0, 1)))
+        elif how == "gain":
+            c = LiftingCascade(-c.scale, c.steps, c.base)
+        elif how == "swap" and len(c.steps) >= 2:
+            i, j = data.draw(st.lists(st.integers(0, len(c.steps) - 1), min_size=2,
+                                      max_size=2, unique=True))
+            steps = list(c.steps)
+            steps[i], steps[j] = steps[j], steps[i]
+            c = LiftingCascade(c.scale, tuple(steps), c.base)
+        elif how == "base":
+            c = LiftingCascade(c.scale, c.steps, PolyphaseMatrix(c.base.row1, c.base.row0))
+        assert _passes(c, h) == (c.product() == h)
+
+    def test_wrong_weight_is_caught(self, monkeypatch):
+        """A peel that records one generator's weight off by one still
+        yields an S_W cascade; only the exit check can catch it."""
+        peel = factor_module._peel
+
+        def wrong(g, *args):
+            c = peel(g, *args)
+            s = c.steps[0]
+            bad = LiftingStep(s.m, s.filter + g.filter_spec(s.m).basis(1))
+            return LiftingCascade(c.scale, (bad,) + c.steps[1:], c.base)
+
+        monkeypatch.setattr(factor_module, "_peel", wrong)
+        with pytest.raises(FactorizationStuck, match="product check failed"):
+            factor_ws(TWO_STEP_WS.product())
+
+
+class TestPinnedOutputs:
+    """What factor_ws and factor_hs(normalize_dc=True) print on 100 S_W and
+    100 S_H randgen banks, pinned by its digest: a change that alters any
+    output byte fails here."""
+
+    DIGEST = "cac0f7584209904ebd485700fde7e5d2fda73235229cc8c250dc3b96985bd30c"
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(100):
+            rng = random.Random(seed)
+            for c in (rand_ws_cascade(rng), rand_hs_cascade(rng)):
+                digest.update(print_cascade(_factor_for(c)(c.product())).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -69,6 +69,38 @@ class TestGenerators:
             HS_PLUS.basis(k)
 
 
+@st.composite
+def _symmetric_filters(draw):
+    """A WS, HS, WA, HA, asymmetric or zero filter about an axis of -2..2
+    in steps of 1/2; the asymmetric ones are sparse dicts."""
+    kind = draw(st.sampled_from(["WS", "HS", "WA", "HA", "NONE", "ZERO"]))
+    taps = st.sampled_from([1, -1, 2, F(1, 2), F(-3, 4)])
+    if kind == "ZERO":
+        return LaurentPoly.zero()
+    if kind == "NONE":
+        return LaurentPoly(draw(st.dictionaries(st.integers(-4, 4), taps, min_size=1,
+                                                max_size=5)))
+    two_axis = 2 * draw(st.integers(-2, 2)) + (kind[0] == "H")
+    sign = -1 if kind[1] == "A" else 1
+    coeffs = {}
+    for j, v in enumerate(draw(st.lists(taps, min_size=1, max_size=4))):
+        n = (two_axis + 1) // 2 + j
+        if n != two_axis - n or sign == 1:
+            coeffs[n], coeffs[two_axis - n] = v, sign * v
+    return LaurentPoly(coeffs)
+
+
+class TestMemberParity:
+    """member compares integer numerators about 2 * axis; it must say what
+    the symmetry tag says."""
+
+    @settings(max_examples=200)
+    @given(_symmetric_filters())
+    def test_matches_symmetry_tag(self, f):
+        for spec in (HS_PLUS, HS_MINUS, WA_ZERO):
+            assert spec.member(f) == (f.is_zero() or f.symmetry() == spec.symmetry)
+
+
 class TestBaseAdmissible:
     def test_identity_for_ws(self):
         assert base_admissible(S_W, IDENTITY)
