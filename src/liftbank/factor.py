@@ -22,9 +22,9 @@ from .errors import (DCZero, FactorizationStuck, InvalidArgument,
                      NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
 from .laurent import LaurentPoly, _canonical, _muladd, _span
-from .lifting import (LiftingCascade, LiftingStep, _exact_lift, _filter_lift, _gain,
-                      _ladder, normalize_semidirect)
-from .polyphase import IDENTITY, PolyphaseMatrix, classify_bank, make_bank
+from .lifting import (LiftingCascade, LiftingStep, _filter_lift, _gain, _ladder,
+                      normalize_semidirect)
+from .polyphase import IDENTITY, PolyphaseMatrix, analyze_filter, classify_bank, make_bank
 
 # ---------------------------------------------------------------------------
 # Laurent division
@@ -108,12 +108,9 @@ def _unimodular_on_failure(factor):
 
 
 def _checked(out: LiftingCascade, h: PolyphaseMatrix) -> LiftingCascade:
-    """The one exit of the factorizers: out, once its product is h.  The
-    scalar filters determine a bank, so the ladder and gain run on the
-    base's filters, one multiply-add and reduction per step, to meet h's."""
-    b = out.base
-    f = _ladder(out.steps, [b.scalar_filter(0), b.scalar_filter(1)], _filter_lift)
-    if _gain(out.scale, f) != [h.scalar_filter(0), h.scalar_filter(1)]:
+    """The one exit of the factorizers: out, once its product's scalar
+    filters are h's."""
+    if out._product_filters() != [h.scalar_filter(0), h.scalar_filter(1)]:
         raise FactorizationStuck("product check failed")
     return out
 
@@ -268,7 +265,8 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
 
     col = 1 if policy == "A" else 0
     target = 0 if policy == "A" else 1
-    rows = [h.row0, h.row1]
+    filters = [h.scalar_filter(0), h.scalar_filter(1)]
+    rows = [h.row0, h.row1]     # the divisions read the matrix entries
     ops: List[LiftingStep] = []  # left-applied inverse steps, in order
 
     def e(i: int, j: int) -> LaurentPoly:
@@ -276,7 +274,7 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
 
     def apply_step(i: int, filt: LaurentPoly):
         ops.append(LiftingStep(i, filt))
-        _ladder(ops[-1:], rows, _exact_lift)
+        rows[i] = analyze_filter(_ladder(ops[-1:], filters, _filter_lift)[i])
 
     while e(0, col) and e(1, col):
         q, _ = laurent_divmod(e(target, col), e(1 - target, col))

@@ -7,13 +7,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import index
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidArgument, NotAdmissible, NotIrreducible
-from .laurent import LaurentPoly, SymmetryTag, _span
+from .laurent import LaurentPoly, SymmetryTag, _span, _trials
 from .lifting import LiftingCascade, LiftingStep
-from .polyphase import IDENTITY, PolyphaseMatrix, _hull
+from .polyphase import IDENTITY, PolyphaseMatrix, _hull, _row_support
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,8 @@ def base_admissible(g: GroupLiftingStructure, b: PolyphaseMatrix) -> bool:
     if not b.is_unimodular:
         return False
     cls = b.classify()
-    # Equal polyphase vector supports (the uniqueness hypothesis).
-    return (cls.kind == "HS_CONCENTRIC" and cls.equal_length_base
-            and b.row0.support() == b.row1.support())
+    # The paper's equal row supports hold: equal-order filters about -1/2 share one support.
+    return cls.kind == "HS_CONCENTRIC" and cls.equal_length_base
 
 
 def cascade_in_structure(g: GroupLiftingStructure, c: LiftingCascade) -> bool:
@@ -115,7 +113,7 @@ def check_order_increasing(c: LiftingCascade) -> Tuple[bool, List[int]]:
     """
     if not c.is_irreducible:
         raise NotIrreducible("order-increase check requires an irreducible cascade")
-    orders = [b - a for a, b in (_hull(e, "zero matrix") for e in _partial_ends(c))]
+    orders = [_order(e) for e in _partial_ends(c)]
     ok = all(b > a for a, b in zip(orders, orders[1:]))
     return ok, orders
 
@@ -130,9 +128,16 @@ def _tips(num: Dict[int, int], f: int = 1) -> Optional[tuple]:
 
 
 def _ends(m: PolyphaseMatrix) -> List[Optional[tuple]]:
-    """The end taps of m's entries, over the lcm of their denominators."""
-    den = lcm(*(x._den for x in m.entries()))
-    return [_tips(x._num, den // x._den) for x in m.entries()]
+    """The end taps of m's two scalar filters, over the lcm of their denominators."""
+    f = (m.scalar_filter(0), m.scalar_filter(1))
+    den = lcm(f[0]._den, f[1]._den)
+    return [_tips(x._num, den // x._den) for x in f]
+
+
+def _order(e: List[Optional[tuple]]) -> int:
+    """The polyphase order of the matrix whose scalar filters have end taps e."""
+    lo, hi = _hull([x and _row_support(x[0], x[1]) for x in e], "zero matrix")
+    return hi - lo
 
 
 def _meet(d: tuple, p: tuple) -> Optional[tuple]:
@@ -152,22 +157,22 @@ def _meet(d: tuple, p: tuple) -> Optional[tuple]:
 def _partial_ends(c: LiftingCascade) -> List[List[Optional[tuple]]]:
     """_ends(E) for the partial products E of c.intermediates(), unmultiplied.
 
-    Over Q the end taps of S * e are the products of the factors' end taps,
-    so a step e_m += S e_(1-m) moves each entry's ends in O(1).  Only a sum
-    whose ends meet can lose a tap, and then its new end is unknown: on such
-    a cancellation the partial products are multiplied out after all."""
+    Over Q the end taps of a product are the products of the factors' end
+    taps, so a step f_m += S(z^2) f_(1-m) moves filter m's ends to
+    (2 lo_S + lo, 2 hi_S + hi) in O(1).  Only a sum whose ends meet can
+    lose a tap, and then its new end is unknown: on such a cancellation
+    the partial products are multiplied out after all."""
     out = [_ends(c.base)]
     for s in c.steps:
         lo, hi, a, b = _tips(s.filter._num)
         f, e = s.filter._den, out[-1]   # S's taps are over f: so is the product with e
         new = [x and (x[0], x[1], x[2] * f, x[3] * f) for x in e] if f != 1 else list(e)
-        for k in (2 * s.m, 2 * s.m + 1):  # row m; e[k ^ 2] is the same column of row 1 - m
-            src = e[k ^ 2]
-            if src:
-                p = lo + src[0], hi + src[1], a * src[2], b * src[3]
-                new[k] = p if new[k] is None else _meet(new[k], p)
-                if new[k] is None:
-                    return [_ends(m) for m in c.intermediates()]
+        src = e[1 - s.m]
+        if src:
+            p = 2 * lo + src[0], 2 * hi + src[1], a * src[2], b * src[3]
+            new[s.m] = p if new[s.m] is None else _meet(new[s.m], p)
+            if new[s.m] is None:
+                return [_ends(m) for m in c.intermediates()]
         out.append(new)
     return out
 
@@ -204,8 +209,8 @@ def ws_radii(c: LiftingCascade) -> RadiiReport:
 
     Predicted radii follow r(lifted) = r(other) + 2t - 1 with the other
     channel carried over from the previous step; measured radii come from
-    the supports of the partial products' scalar filters, read off their
-    end taps (_partial_ends) and checked to be centered at 0 and -1.
+    the partial products' scalar filters' end taps (_partial_ends),
+    checked to be centered at 0 and -1.
     """
     if not c.is_irreducible:
         raise NotIrreducible("radius recursion requires an irreducible cascade")
@@ -220,15 +225,12 @@ def ws_radii(c: LiftingCascade) -> RadiiReport:
         r[s.m] = r[1 - s.m] + 2 * t - 1
         e = inter[n + 1]
         measured = []
-        for i in (0, 1):    # row i's scalar filter f: f(2n) = e[2i](n), f(2n - 1) = e[2i + 1](n)
-            row = [x and (2 * x[0] - j, 2 * x[1] - j) for j, x in enumerate(e[2 * i:2 * i + 2])]
-            a, b = _hull(row, "zero polynomial has empty support")
+        for i, (a, b, *_) in enumerate(e):   # unimodular, so neither filter is zero
             rad = (b - a + 1) // 2
             if (a, b) != (-rad - i, rad - i):
                 raise NotAdmissible(f"intermediate filter {i} not centered at {-i}")
             measured.append(rad)
-        lo, hi = _hull(e, "zero matrix")
-        report.append(RadiiStep(n, t, r[0], r[1], measured[0], measured[1], hi - lo))
+        report.append(RadiiStep(n, t, r[0], r[1], measured[0], measured[1], _order(e)))
     return RadiiReport(tuple(report))
 
 
@@ -241,13 +243,7 @@ def d_invariance_check(g: GroupLiftingStructure, trials: int = 256,
     Returns None for a reversible structure (D = {1}, no action).  Raises
     InvalidArgument unless trials is an int >= 1: no sample is no evidence.
     """
-    try:
-        trials = index(trials)
-    except TypeError:
-        raise InvalidArgument("d_invariance_check's trials must be an integer, "
-                              f"got {type(trials).__name__}") from None
-    if trials < 1:
-        raise InvalidArgument(f"d_invariance_check needs at least one trial, got {trials}")
+    trials = _trials(trials, "d_invariance_check")
     if g.reversible:
         return None
     rng = random.Random(seed)

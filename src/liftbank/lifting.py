@@ -13,7 +13,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import BaseNotIdentity, InvalidArgument, NotIrreducible
 from .laurent import ZERO, LaurentPoly, Rational, _rational, is_dyadic
-from .polyphase import IDENTITY, PolyphaseMatrix, PolyphaseVector
+from .polyphase import IDENTITY, PolyphaseMatrix, analyze_filter
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,20 @@ def gamma_conjugate(k: Rational, m: PolyphaseMatrix) -> PolyphaseMatrix:
 
 
 def _ladder(steps: Iterable[LiftingStep], y: list, lift, sign: int = 1) -> list:
-    """The one way a cascade is applied, to signal channels, matrix rows and
-    scalar filters alike: run steps, in the order given, on the pair y = [y0, y1]
-    and return it.  Step (m, S) sets y[m] = lift(y[m], S, y[1 - m], sign);
-    on matrix rows that is the product with the step's matrix, which adds
-    S times row 1 - m to row m.  A cascade runs forward as
-    _ladder(c.steps, y, lift) and is undone step by step as
-    _ladder(reversed(c.steps), y, lift, -1)."""
+    """The one way a cascade is applied, to signal channels and scalar
+    filters alike: run steps, in the order given, on the pair y = [y0, y1]
+    and return it.  Step (m, S) sets y[m] = lift(y[m], S, y[1 - m], sign).
+    A cascade runs forward as _ladder(c.steps, y, lift) and is undone step
+    by step as _ladder(reversed(c.steps), y, lift, -1)."""
     for s in steps:
         y[s.m] = lift(y[s.m], s.filter, y[1 - s.m], sign)
     return y
 
 
-def _exact_lift(dst: PolyphaseVector, filt: LaurentPoly, src: PolyphaseVector,
-                sign: int) -> PolyphaseVector:
-    """dst + sign * src * S, exactly, on matrix rows: one fused
-    multiply-add per component; signals run on transform's dense windows
-    instead."""
-    return PolyphaseVector(dst.comp0._add_product(src.comp0, filt, sign),
-                           dst.comp1._add_product(src.comp1, filt, sign))
-
-
 def _filter_lift(dst: LaurentPoly, filt: LaurentPoly, src: LaurentPoly,
                  sign: int) -> LaurentPoly:
-    """_exact_lift on the scalar filters the rows carry: dst + sign * S(z^2) * src."""
+    """A step on a bank's scalar filters: dst + sign * S(z^2) * src, which
+    is the step's matrix times the bank, adding S times row 1 - m to row m."""
     return dst._add_product(src, LaurentPoly._interleave(filt, ZERO), sign)
 
 
@@ -142,17 +132,22 @@ class LiftingCascade:
         return (is_dyadic(self.scale) and all(s.filter.is_dyadic for s in self.steps)
                 and self.base.is_dyadic)
 
+    def _product_filters(self) -> list:
+        """The two scalar filters of the product: the ladder and gain run
+        on the base's filters, which determine a bank one to one."""
+        b = self.base
+        return _gain(self.scale, _ladder(self.steps, [b.scalar_filter(0), b.scalar_filter(1)],
+                                         _filter_lift))
+
     def product(self) -> PolyphaseMatrix:
-        """Exact product D_K * S_{N-1} ... S_0 * B: the analysis ladder and
-        gain run on the base's rows."""
-        rows = _ladder(self.steps, [self.base.row0, self.base.row1], _exact_lift)
-        return PolyphaseMatrix(*_gain(self.scale, rows))
+        """Exact product D_K * S_{N-1} ... S_0 * B, from its scalar filters."""
+        return PolyphaseMatrix(*map(analyze_filter, self._product_filters()))
 
     def intermediates(self) -> List[PolyphaseMatrix]:
         """Partial products E^(-1) = B, E^(n) = S_n E^(n-1), unscaled: the
         same ladder, one step at a time."""
-        rows = [self.base.row0, self.base.row1]
-        return [self.base] + [PolyphaseMatrix(*_ladder((s,), rows, _exact_lift))
+        f = [self.base.scalar_filter(0), self.base.scalar_filter(1)]
+        return [self.base] + [PolyphaseMatrix(*map(analyze_filter, _ladder((s,), f, _filter_lift)))
                               for s in self.steps]
 
 

@@ -52,6 +52,12 @@ def analyze_filter(f: LaurentPoly) -> PolyphaseVector:
     return PolyphaseVector(even, odd.shift(1))
 
 
+def _row_support(a: int, b: int) -> Tuple[int, int]:
+    """Support of analyze_filter(f) for a filter f on [a, b]: tap a lands at
+    n = ceil(a/2), tap b at n = floor((b + 1)/2), every other tap between."""
+    return -(-a // 2), (b + 1) // 2
+
+
 def synthesize_filter(v: PolyphaseVector) -> LaurentPoly:
     """Inverse of analyze_filter: F(z) = F0(z^2) + z F1(z^2)."""
     return LaurentPoly._interleave(v.comp0, v.comp1.shift(-1))

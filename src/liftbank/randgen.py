@@ -152,14 +152,10 @@ def rand_word(rng: random.Random, n_letters: Optional[int] = None) -> GroupWord:
     return reduce_word(letters)
 
 
-def rand_signal(rng: random.Random, length: int = 16, start: Optional[int] = None,
-                integer: bool = False) -> LaurentPoly:
+def rand_signal(rng: random.Random, length: int = 16,
+                start: Optional[int] = None) -> LaurentPoly:
     start = rng.randint(-8, 8) if start is None else start
-    if integer:
-        vals = {start + i: rng.randint(-127, 128) for i in range(length)}
-    else:
-        vals = {start + i: rand_dyadic(rng) for i in range(length)}
-    return LaurentPoly(vals)
+    return LaurentPoly({start + i: rand_dyadic(rng) for i in range(length)})
 
 
 def rand_int_signal(rng: random.Random, length: int = 1024) -> dict:

@@ -25,7 +25,7 @@ from struct import pack
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
-from .laurent import LaurentPoly, _lowest
+from .laurent import LaurentPoly, _lowest, _trials
 from .lifting import LiftingCascade, _ladder, lower
 from .polyphase import IDENTITY, PolyphaseMatrix
 
@@ -339,9 +339,8 @@ def _is_pair(y, cls) -> bool:
 
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     """Polyphase split, then base, steps and gain, on packed windows: the
-    ladder c.product() runs on the base's rows, so the result is exactly
-    c.product() applied to the split signal.  Raises InvalidArgument if x
-    is not a LaurentPoly."""
+    result is exactly c.product() applied to the split signal.  Raises
+    InvalidArgument if x is not a LaurentPoly."""
     if not isinstance(x, LaurentPoly):
         raise InvalidArgument(f"apply_analysis takes a LaurentPoly signal, got {_kind(x)}")
     y0, y1 = (LaurentPoly._make(*ch) for ch in _run(c, (x._num,), 1, False, (x._den,) * 2))
@@ -454,12 +453,7 @@ def verify_pr(c: LiftingCascade, trials: int = 32, seed: int = 0) -> PRReport:
     """Sampled perfect-reconstruction check with the a = 1, d = 0 convention.
 
     Raises InvalidArgument unless trials is an int >= 1: no sample is no evidence."""
-    try:
-        trials = index(trials)
-    except TypeError:
-        raise InvalidArgument(f"verify_pr's trials must be an integer, got {type(trials).__name__}") from None
-    if trials < 1:
-        raise InvalidArgument(f"verify_pr needs at least one trial, got {trials}")
+    trials = _trials(trials, "verify_pr")
     rng = random.Random(seed)
     try:
         for _ in range(trials):

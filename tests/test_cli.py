@@ -384,6 +384,20 @@ class TestCommands:
         path = self.write(tmp_path, "haar.bank", HAAR_BANK)
         assert main(["factor", path, "--structure", "ws"]) == 3
 
+    @pytest.mark.parametrize("dc", [[], ["--normalize-dc"]])
+    def test_factor_hs(self, tmp_path, capsys, dc):
+        bank = rand_hs_cascade(random.Random(7), n_steps=3).product()
+        path = self.write(tmp_path, "hs.bank", print_bank(bank))
+        assert main(["factor", path, "--structure", "hs", *dc]) == 0
+        c = parse_cascade(capsys.readouterr().out)
+        assert c.product() == bank
+        assert not dc or c.base.scalar_filter(0)(1) == 1
+
+    def test_factor_hs_precondition(self, tmp_path):
+        bank = rand_ws_cascade(random.Random(7)).product()
+        path = self.write(tmp_path, "ws.bank", print_bank(bank))
+        assert main(["factor", path, "--structure", "hs"]) == 3
+
     def test_factor_product_round_trip(self, tmp_path, capsys):
         path = self.write(tmp_path, "haar.bank", HAAR_BANK)
         assert main(["factor", path, "--structure", "euclidean"]) == 0
@@ -441,9 +455,14 @@ class TestCommands:
         assert all(flag in message for flag in ("--order-increasing", "--structure", "--pr"))
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
-        path = self.write(tmp_path, "bad.bank", "h0:\ntap 0 0\nh1:\ntap 0 1\n")
-        assert main(["classify", path]) == 2
-        assert "parse error" in capsys.readouterr().err
+        for text, line in (("h0:\ntap 0 0\nh1:\ntap 0 1\n", 2),
+                           ("tap 0 1\nh0:\ntap 0 1\nh1:\ntap 0 1\n", 1)):
+            with pytest.raises(ParseError) as e:
+                parse_bank(text)
+            assert e.value.line == line
+            path = self.write(tmp_path, "bad.bank", text)
+            assert main(["classify", path]) == 2
+            assert "parse error" in capsys.readouterr().err
 
     def test_library_error_exit_code(self, tmp_path, capsys):
         # A zero base bank has no support: EmptySupport, not a failed check.

@@ -130,6 +130,49 @@ class TestBaseAdmissible:
             assert b.row0.support() == b.row1.support()
 
 
+def row_support_admissible(g, b):
+    """base_admissible with the row-support test of the uniqueness
+    hypothesis spelled out."""
+    if not g.hs_base:
+        return b == IDENTITY
+    if (g.reversible and not b.is_dyadic) or not b.is_unimodular:
+        return False
+    cls = b.classify()
+    return (cls.kind == "HS_CONCENTRIC" and cls.equal_length_base
+            and b.row0.support() == b.row1.support())
+
+
+@st.composite
+def bases(draw):
+    """Equal-length HS bases as randgen draws them, perturbed copies of
+    them (lifted, rescaled, one tap moved, rows swapped), and WS banks."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["base", "lift", "scale", "tap", "swap", "ws"]))
+    if kind == "ws":
+        return rand_ws_cascade(rng).product()
+    b = rand_equal_length_hs_base(rng)
+    if kind == "lift":
+        return rand_hs_cascade(rng, n_steps=1, base=b).product()
+    if kind == "scale":
+        return scaling_matrix(draw(st.sampled_from([F(1, 2), 3, -2]))) @ b
+    if kind == "tap":
+        e = list(b.entries())
+        i, n = draw(st.integers(0, 3)), draw(st.integers(-2, 2))
+        e[i] = e[i] + LaurentPoly.monomial(n, draw(st.sampled_from([1, -1, F(1, 2)])))
+        return PolyphaseMatrix.from_entries(*e)
+    return PolyphaseMatrix(b.row1, b.row0) if kind == "swap" else b
+
+
+class TestRowSupportImplied:
+    """Concentric HS with equal-length filters already gives equal row
+    supports, so base_admissible needs no row-support test."""
+
+    @given(bases())
+    def test_matches_row_support_predicate(self, b):
+        for g in (S_W, S_WR, S_H, S_HR):
+            assert base_admissible(g, b) == row_support_admissible(g, b)
+
+
 class TestCascadeMembership:
     def test_haar_cascade_not_in_ws(self):
         c = LiftingCascade(F(2), (upper(F(1)), lower(F(-1, 2))))
@@ -184,6 +227,8 @@ class TestOrderIncreasing:
         c = LiftingCascade(F(1), (upper(F(1)), upper(F(1))))
         with pytest.raises(NotIrreducible):
             check_order_increasing(c)
+        with pytest.raises(NotIrreducible):
+            ws_radii(c)
 
 
 def orders_from_products(c):

@@ -48,7 +48,7 @@ def test_imported_names_used(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_matrix_product_operator(path):
-    # Cascades multiply out by the row ladder and the gain; the 2x2 `@`
+    # Cascades multiply out by the filter ladder and the gain; the 2x2 `@`
     # product stays public as the reference the tests check them against.
     lines = [node.lineno for node in ast.walk(tree(path))
              if isinstance(getattr(node, "op", None), ast.MatMult)]

@@ -149,7 +149,7 @@ _cascades = st.builds(LiftingCascade, _gains, st.lists(_steps, max_size=8), _bas
 
 
 class TestLadderMatchesMatmul:
-    """product() and intermediates() run the row ladder; the 2x2 matrix
+    """product() and intermediates() run the filter ladder; the 2x2 matrix
     product of the step matrices is the independent reference."""
 
     @given(_cascades)
@@ -345,6 +345,8 @@ class TestWords:
         assert word_concat(word_concat(w1, w2), w3) == \
             word_concat(w1, word_concat(w2, w3))
         assert word_concat(w1, w2).matrix() == w1.matrix() @ w2.matrix()
+        assert w1 * w2 == word_concat(w1, w2)
+        assert len(w1) == len(w1.letters) and len(w1 * w2) <= len(w1) + len(w2)
 
     def test_cascade_view_round_trip(self):
         rng = random.Random(13)
