@@ -21,7 +21,7 @@ from .errors import (DCZero, FactorizationStuck, InvalidArgument,
                      LiftbankError, NotHSConcentric, NotIrreducible, NotUnimodular,
                      NotWSDelayMinimized)
 from .glstructure import S_H, S_W, GroupLiftingStructure, base_admissible
-from .laurent import LaurentPoly, _canonical, _muladd, _span
+from .laurent import LaurentPoly, _canonical, _span
 from .lifting import (LiftingCascade, LiftingStep, _filter_lift, _gain, _ladder,
                       normalize_semidirect)
 from .polyphase import IDENTITY, PolyphaseMatrix, analyze_filter, classify_bank, make_bank
@@ -131,8 +131,9 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
     cancelling it exposes the next.  Only these integer numerators are
     tracked (only a mirror tap's column reaches them), each cancellation
     scaling them, the weights so far and the denominator by otop, the
-    other filter's top tap; then one _muladd by s(z^2) * other and one
-    _canonical lift the whole filter back.
+    other filter's top tap.  The lift-back, minus s(z^2) * other, computes
+    only the taps at or above the centre d_m and mirrors them: the step
+    keeps the filter's symmetry, whose sign its end taps show.
     """
     cls = classify_bank(h)
     if cls.kind != kind:
@@ -144,9 +145,6 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
     peeled: List[LiftingStep] = []
     while True:
         orders = [b - a for a, b in spans]
-        for i, (a, b) in enumerate(spans):
-            if a + b != two_d[i]:
-                raise _stuck(g, i, orders, "support not centred at the group delay")
         if orders[0] == orders[1]:
             base = make_bank(*(LaurentPoly._make(num, den) for num, den in e))
             return LiftingCascade(Fraction(1), tuple(reversed(peeled)), base)
@@ -179,9 +177,19 @@ def _peel(g: GroupLiftingStructure, h: PolyphaseMatrix, who: str, kind: str,
                 top[k] = top.get(k, 0) - b * v
             top = {k: v for k, v in top.items() if v}
         den *= scale
-        # A copy even when scale == 1: num may be h's own filter.
-        num = {k: v * scale for k, v in num.items()}
-        e[m] = _canonical(_muladd(num, other, {2 * k: v for k, v in s.items()}, -1), den)
+        cut = (two_d[m] + 1) // 2   # the lowest tap at or above the centre
+        # A new dict even when scale == 1: num may be h's own filter.
+        half = {k: v * scale for k, v in num.items() if k >= cut}
+        for p, w in s.items():
+            for k, v in down:
+                k += 2 * p
+                if k < cut:
+                    break
+                half[k] = half.get(k, 0) - w * v
+        half, hden = _canonical(half, den)
+        flip = 1 if num[spans[m][0]] == num[spans[m][1]] else -1
+        half.update({two_d[m] - k: flip * v for k, v in half.items()})
+        e[m] = half, hden
         spans[m] = e[m][0] and _span(e[m][0])
         if not spans[m] or spans[m][1] - spans[m][0] > small:
             raise _stuck(g, m, orders, "peel did not reduce the order")

@@ -24,8 +24,8 @@ from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 _INDEX = re.compile(r"[+-]?[0-9]+")
-# A tap line that plain int() reads: digit runs up to _CHUNK_DIGITS and a
-# nonzero denominator.  Other tap lines take _parse_tap's token checks.
+# A tap line that plain int() reads (digit runs up to _CHUNK_DIGITS, a nonzero
+# denominator), matched first on every line; _parse_tap takes the match, or checks tokens.
 _DIGITS = rf"[0-9]{{1,{_CHUNK_DIGITS}}}"
 _TAP = re.compile(rf"tap\s+([+-]?{_DIGITS})\s+([+-]?{_DIGITS})(?:/((?=0*[1-9]){_DIGITS}))?")
 
@@ -57,8 +57,7 @@ def _lines(text: str):
             yield i, line
 
 
-def _parse_tap(line: str, line_no: int, taps: dict):
-    m = _TAP.fullmatch(line)
+def _parse_tap(m: Optional[re.Match], line: str, line_no: int, taps: dict):
     if m:
         n, p, q = m.groups()
         n, p = int(n), int(p)
@@ -90,11 +89,12 @@ def _read_bank(numbered_lines, line: Optional[int] = None) -> PolyphaseMatrix:
     current: Optional[dict] = None
     named = False
     for line_no, text in numbered_lines:
-        keyword = text.split(None, 1)[0]
+        tap = _TAP.fullmatch(text)
+        keyword = "tap" if tap else text.split(None, 1)[0]
         if keyword == "tap":
             if current is None:
                 raise ParseError("tap before any h0:/h1: section", line=line_no)
-            _parse_tap(text, line_no, current)
+            _parse_tap(tap, text, line_no, current)
         elif text in ("h0:", "h1:"):
             key = text[:2]
             if key in filters:
@@ -135,12 +135,13 @@ def parse_cascade(text: str) -> LiftingCascade:
     base = IDENTITY
     lines = _lines(text)
     for line_no, line in lines:
-        parts = line.split()
+        tap = _TAP.fullmatch(line)
+        parts = ["tap"] if tap else line.split()
         keyword = parts[0]
         if keyword == "tap":
             if not steps:
                 raise ParseError("tap before any step block", line=line_no)
-            _parse_tap(line, line_no, steps[-1][1])
+            _parse_tap(tap, line, line_no, steps[-1][1])
         elif keyword == "step":
             if len(parts) != 2 or parts[1] not in ("U", "L"):
                 raise ParseError("step line must be `step U` or `step L`", line=line_no)

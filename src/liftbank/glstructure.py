@@ -129,9 +129,8 @@ def _tips(num: Dict[int, int], f: int = 1) -> Optional[tuple]:
 
 def _ends(m: PolyphaseMatrix) -> List[Optional[tuple]]:
     """The end taps of m's two scalar filters, over the lcm of their denominators."""
-    f = (m.scalar_filter(0), m.scalar_filter(1))
-    den = lcm(f[0]._den, f[1]._den)
-    return [_tips(x._num, den // x._den) for x in f]
+    den = lcm(m.h0._den, m.h1._den)
+    return [_tips(x._num, den // x._den) for x in (m.h0, m.h1)]
 
 
 def _order(e: List[Optional[tuple]]) -> int:

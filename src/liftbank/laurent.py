@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv, index
@@ -55,6 +57,14 @@ def _muladd(c: Dict[int, int], a: Dict[int, int], b: Dict[int, int], f: int) -> 
     return c
 
 
+def _split(num: Dict[int, int], up: int = 0) -> Tuple[dict, dict]:
+    """num's even and odd taps, tap n at index (n + up) >> 1 (see LaurentPoly._phases)."""
+    out: Tuple[dict, dict] = ({}, {})
+    for n, v in num.items():
+        out[n & 1][(n + up) >> 1] = v
+    return out
+
+
 def _span(num: Dict[int, int]) -> Tuple[int, int]:
     if not num:
         raise EmptySupport("zero polynomial has empty support")
@@ -71,14 +81,19 @@ _CHUNK_BITS = 1700      # 2**1700 < 10**512
 
 
 def _int_str(n: int) -> str:
-    """str(n) for an int of any length."""
-    if n < 0:
-        return "-" + _int_str(-n)
+    """str(n) for an int of any length.  A long n is split by bits, hi * 2**w
+    + lo with a floor shift (n may be negative), and put back together in exact
+    decimal arithmetic, as CPython 3.12's _pylong does: no step is quadratic."""
     if n.bit_length() <= _CHUNK_BITS:
         return str(n)
-    low = int(n.bit_length() * 0.30103) // 2   # about half the digits
-    high, rest = divmod(n, 10 ** low)
-    return _int_str(high) + _int_str(rest).zfill(low)
+    pow2 = cache(lambda w: Decimal(2) ** w)
+    def dec(n: int, bits: int) -> Decimal:
+        if bits <= _CHUNK_BITS:
+            return Decimal(n)
+        w = bits >> 1
+        return dec(n >> w, bits - w) * pow2(w) + dec(n & (1 << w) - 1, w)
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        return str(dec(n, n.bit_length()))
 
 
 def _str_int(digits: str) -> int:
@@ -278,10 +293,10 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._add_product(other, ONE, 1)
+        return self._add_product(other, ONE._num, 1, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._add_product(other, ONE, -1)
+        return self._add_product(other, ONE._num, 1, -1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({n: -v for n, v in self._num.items()}, self._den)
@@ -289,17 +304,18 @@ class LaurentPoly:
     def __mul__(self, other: Union["LaurentPoly", Rational]) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        return ZERO._add_product(self, other, 1)
+        return ZERO._add_product(self, other._num, other._den, 1)
 
-    def _add_product(self, a: "LaurentPoly", b: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * a * b by one _muladd over lcm(den, den_a * den_b)."""
-        if not a._num or not b._num:
+    def _add_product(self, a: "LaurentPoly", b: Dict[int, int], b_den: int, sign: int) -> "LaurentPoly":
+        """self + sign * a * b / b_den, for integer numerators b, by one
+        _muladd over lcm(den, den_a * b_den)."""
+        if not a._num or not b:
             return self
-        dp = a._den * b._den
+        dp = a._den * b_den
         den = lcm(self._den, dp)
         fs = den // self._den
         c = dict(self._num) if fs == 1 else {n: v * fs for n, v in self._num.items()}
-        return LaurentPoly._reduced(_muladd(c, a._num, b._num, sign * (den // dp)), den)
+        return LaurentPoly._reduced(_muladd(c, a._num, b, sign * (den // dp)), den)
 
     def __rmul__(self, other: Rational) -> "LaurentPoly":
         return self.scale(other)
@@ -322,14 +338,10 @@ class LaurentPoly:
         """F(z) -> F(z^(-1)), i.e. f(n) -> f(-n).  An involution."""
         return LaurentPoly._make({-n: v for n, v in self._num.items()}, self._den)
 
-    def _phases(self) -> Tuple["LaurentPoly", "LaurentPoly"]:
+    def _phases(self, up: int = 0) -> Tuple["LaurentPoly", "LaurentPoly"]:
         """(E, O) with F(z) = E(z^2) + z^(-1) O(z^2): E(n) = f(2n) and
-        O(n) = f(2n + 1)."""
-        even: Dict[int, int] = {}
-        odd: Dict[int, int] = {}
-        for n, v in self._num.items():
-            (odd if n & 1 else even)[n >> 1] = v
-        return LaurentPoly._reduced(even, self._den), LaurentPoly._reduced(odd, self._den)
+        O(n) = f(2n + 1); with up = 1, O(n) = f(2n - 1) instead."""
+        return tuple(LaurentPoly._reduced(p, self._den) for p in _split(self._num, up))
 
     @staticmethod
     def _interleave(even: "LaurentPoly", odd: "LaurentPoly") -> "LaurentPoly":

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import BaseNotIdentity, InvalidArgument, NotIrreducible
-from .laurent import ZERO, LaurentPoly, Rational, _rational, is_dyadic
-from .polyphase import IDENTITY, PolyphaseMatrix, analyze_filter
+from .laurent import LaurentPoly, Rational, _rational, is_dyadic
+from .polyphase import IDENTITY, PolyphaseMatrix, make_bank
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _filter_lift(dst: LaurentPoly, filt: LaurentPoly, src: LaurentPoly,
                  sign: int) -> LaurentPoly:
     """A step on a bank's scalar filters: dst + sign * S(z^2) * src, which
     is the step's matrix times the bank, adding S times row 1 - m to row m."""
-    return dst._add_product(src, LaurentPoly._interleave(filt, ZERO), sign)
+    return dst._add_product(src, {2 * n: v for n, v in filt._num.items()}, filt._den, sign)
 
 
 def _gain(k: Fraction, y: list) -> list:
@@ -135,20 +135,17 @@ class LiftingCascade:
     def _product_filters(self) -> list:
         """The two scalar filters of the product: the ladder and gain run
         on the base's filters, which determine a bank one to one."""
-        b = self.base
-        return _gain(self.scale, _ladder(self.steps, [b.scalar_filter(0), b.scalar_filter(1)],
-                                         _filter_lift))
+        return _gain(self.scale, _ladder(self.steps, [self.base.h0, self.base.h1], _filter_lift))
 
     def product(self) -> PolyphaseMatrix:
         """Exact product D_K * S_{N-1} ... S_0 * B, from its scalar filters."""
-        return PolyphaseMatrix(*map(analyze_filter, self._product_filters()))
+        return make_bank(*self._product_filters())
 
     def intermediates(self) -> List[PolyphaseMatrix]:
         """Partial products E^(-1) = B, E^(n) = S_n E^(n-1), unscaled: the
         same ladder, one step at a time."""
-        f = [self.base.scalar_filter(0), self.base.scalar_filter(1)]
-        return [self.base] + [PolyphaseMatrix(*map(analyze_filter, _ladder((s,), f, _filter_lift)))
-                              for s in self.steps]
+        f = [self.base.h0, self.base.h1]
+        return [self.base] + [make_bank(*_ladder((s,), f, _filter_lift)) for s in self.steps]
 
 
 def _merge(steps: Iterable[LiftingStep]) -> Tuple[LiftingStep, ...]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import EmptySupport, NotUnimodular
-from .laurent import LaurentPoly, SymmetryTag
+from .laurent import LaurentPoly, SymmetryTag, _muladd, _set, _split
 
 
 def _hull(spans, what: str) -> Tuple[int, int]:
@@ -35,8 +35,7 @@ class PolyphaseVector:
 
     def support(self) -> Tuple[int, int]:
         """Vector-valued support interval [c, d] (union of the components)."""
-        return _hull([p and p.support() for p in (self.comp0, self.comp1)],
-                     "zero polyphase vector")
+        return _hull([p and p.support() for p in (self.comp0, self.comp1)], "zero polyphase vector")
 
     def is_zero(self) -> bool:
         return self.comp0.is_zero() and self.comp1.is_zero()
@@ -48,8 +47,7 @@ class PolyphaseVector:
 
 def analyze_filter(f: LaurentPoly) -> PolyphaseVector:
     """Scalar filter -> analysis polyphase vector, f_j(n) = f(2n - j)."""
-    even, odd = f._phases()
-    return PolyphaseVector(even, odd.shift(1))
+    return PolyphaseVector(*f._phases(1))
 
 
 def _row_support(a: int, b: int) -> Tuple[int, int]:
@@ -92,12 +90,9 @@ class DetInfo:
 
 @dataclass(frozen=True)
 class BankClass:
-    """Most specific linear phase class of a filter bank.
-
-    kind is one of WS_DELAY_MINIMIZED, WS_GENERAL, HS_CONCENTRIC, OTHER_PR,
-    NON_PR.  d0/d1 are the group delays when defined; equal_length_base is
-    meaningful only for HS_CONCENTRIC.
-    """
+    """Most specific linear phase class of a filter bank.  kind is one of
+    WS_DELAY_MINIMIZED, WS_GENERAL, HS_CONCENTRIC, OTHER_PR, NON_PR; d0/d1 are
+    the group delays when defined; equal_length_base only for HS_CONCENTRIC."""
 
     kind: str
     d0: Optional[Fraction] = None
@@ -105,13 +100,17 @@ class BankClass:
     equal_length_base: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PolyphaseMatrix:
-    """2x2 Laurent polynomial matrix; row 0 = lowpass, row 1 = highpass."""
+    """2x2 Laurent polynomial matrix; row 0 = lowpass, row 1 = highpass.  Stored
+    as the scalar analysis filters h0, h1 of its rows, which are derived."""
 
-    row0: PolyphaseVector
-    row1: PolyphaseVector
-    _filters = None     # (h0, h1) as make_bank was given them; not a field
+    h0: LaurentPoly
+    h1: LaurentPoly
+
+    def __init__(self, row0: PolyphaseVector, row1: PolyphaseVector):
+        _set(self, "h0", synthesize_filter(row0))
+        _set(self, "h1", synthesize_filter(row1))
 
     @classmethod
     def from_entries(cls, e00, e01, e10, e11) -> "PolyphaseMatrix":
@@ -126,20 +125,21 @@ class PolyphaseMatrix:
     def diagonal(cls, a, d) -> "PolyphaseMatrix":
         return cls.from_entries(a, 0, 0, d)
 
+    row0 = property(lambda self: analyze_filter(self.h0))
+    row1 = property(lambda self: analyze_filter(self.h1))
+
     def entry(self, i: int, j: int) -> LaurentPoly:
-        row = self.row0 if i == 0 else self.row1
-        return row.comp0 if j == 0 else row.comp1
+        return self.entries()[2 * i + j]
 
     def entries(self):
-        return (self.entry(0, 0), self.entry(0, 1), self.entry(1, 0), self.entry(1, 1))
+        return tuple(p for r in (self.row0, self.row1) for p in (r.comp0, r.comp1))
 
     def row(self, i: int) -> PolyphaseVector:
-        return self.row0 if i == 0 else self.row1
+        return analyze_filter(self.scalar_filter(i))
 
     def scalar_filter(self, i: int) -> LaurentPoly:
-        """The scalar analysis filter carried by row i: the one make_bank was
-        given, else synthesized from the row."""
-        return self._filters[i] if self._filters else synthesize_filter(self.row(i))
+        """The scalar analysis filter of row i."""
+        return self.h1 if i else self.h0
 
     # -- algebra -----------------------------------------------------------
 
@@ -154,12 +154,13 @@ class PolyphaseMatrix:
         return PolyphaseVector(a * v.comp0 + b * v.comp1, c * v.comp0 + d * v.comp1)
 
     def det(self) -> LaurentPoly:
-        a, b, c, d = self.entries()
-        return a * d - b * c
+        """a d - b c, on the entries' numerators split off the filters."""
+        (a, b), (c, d) = _split(self.h0._num, 1), _split(self.h1._num, 1)
+        return LaurentPoly._reduced(_muladd(_muladd({}, a, d, 1), b, c, -1), self.h0._den * self.h1._den)
 
     def support(self) -> Tuple[int, int]:
         """Matrix impulse-response support interval (union over entries)."""
-        return _hull([p and p.support() for p in self.entries()], "zero matrix")
+        return _hull([f and _row_support(*f.support()) for f in (self.h0, self.h1)], "zero matrix")
 
     def order(self) -> int:
         c, d = self.support()
@@ -167,17 +168,15 @@ class PolyphaseMatrix:
 
     @property
     def is_dyadic(self) -> bool:
-        return all(e.is_dyadic for e in self.entries())
+        return self.h0.is_dyadic and self.h1.is_dyadic
 
     # -- diagnostics -------------------------------------------------------
 
     def det_info(self) -> DetInfo:
         det = self.det()
-        if det.is_zero():
+        if len(det._num) != 1:
             return DetInfo(monomial=False)
-        a, b = det.support()
-        if a != b:
-            return DetInfo(monomial=False)
+        (a,) = det._num
         return DetInfo(monomial=True, amplitude=det.coeff(a), delay=a)
 
     @property
@@ -195,8 +194,7 @@ class PolyphaseMatrix:
         return classify_bank(self)
 
     def __str__(self) -> str:
-        a, b, c, d = self.entries()
-        return f"[[{a}, {b}], [{c}, {d}]]"
+        return "[[{}, {}], [{}, {}]]".format(*self.entries())
 
 
 # Named constant matrices.
@@ -242,9 +240,10 @@ def classify_bank(h: PolyphaseMatrix) -> BankClass:
 
 
 def make_bank(h0: LaurentPoly, h1: LaurentPoly) -> PolyphaseMatrix:
-    """Polyphase matrix from the two scalar analysis filters."""
-    h = PolyphaseMatrix(analyze_filter(h0), analyze_filter(h1))
-    object.__setattr__(h, "_filters", (h0, h1))
+    """Polyphase matrix from the two scalar analysis filters, kept as given."""
+    h = object.__new__(PolyphaseMatrix)
+    _set(h, "h0", h0)
+    _set(h, "h1", h1)
     return h
 
 

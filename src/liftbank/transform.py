@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
 from .laurent import LaurentPoly, _lowest, _trials
 from .lifting import LiftingCascade, _ladder, lower
-from .polyphase import IDENTITY, PolyphaseMatrix
+from .polyphase import IDENTITY
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
 Channel = Tuple[int, int]
@@ -47,7 +47,8 @@ def _radius(f: LaurentPoly) -> int:
 def _reach(c: LiftingCascade) -> int:
     """How far c's base and steps together move a sample: the base
     entries' largest radius plus the sum of the step filters' radii."""
-    return max(map(_radius, c.base.entries())) + sum(_radius(s.filter) for s in c.steps)
+    base = max(map(abs, c.base.support())) if c.base.h0 or c.base.h1 else 0
+    return base + sum(_radius(s.filter) for s in c.steps)
 
 
 def _read(x: Mapping[int, int], check: bool) -> _Read:
@@ -242,12 +243,12 @@ class _Window:
         f = den if self.rounding else 1
         return self._conv(w * (den // dd), num, sign * (den // ds), v, f, sign), den // f
 
-    def _apply(self, m: PolyphaseMatrix, y: List[Channel]) -> List[Channel]:
-        """The 2x2 matrix m applied to the channel pair y: each output is a
-        sum of up to two window convolutions over their denominators' lcm."""
+    def _apply(self, rows: Tuple[SignalPair, SignalPair], y: List[Channel]) -> List[Channel]:
+        """The 2x2 matrix of rows applied to the channel pair y: each output is
+        a sum of up to two window convolutions over their denominators' lcm."""
         out = []
-        for row in (m.row0, m.row1):
-            parts = [(f, w, d * f._den) for f, (w, d) in zip((row.comp0, row.comp1), y) if f]
+        for row in rows:
+            parts = [(f, w, d * f._den) for f, (w, d) in zip(row, y) if f]
             den = lcm(*(d for _, _, d in parts))
             acc = 0
             for f, w, d in parts:
@@ -283,8 +284,11 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     rounding, a _Bound sizes the windows, and a singular base raises first."""
     k, steps, plan = c.scale, c.steps[::sign], []
     if c.base != IDENTITY:      # reversible: base I
-        base = c.base if sign > 0 else c.base.inverse()
-        plan.append(lambda win, v: win._apply(base, v))
+        a, b, g, d = c.base.entries()   # the adjugate here, not inverse(): no filter round trip
+        if sign < 0 and not c.base.is_unimodular:
+            raise NotUnimodular("inverse requires det H(z) = 1")
+        rows = ((a, b), (g, d)) if sign > 0 else ((d, -b), (-g, a))
+        plan.append(lambda win, v: win._apply(rows, v))
     plan.append(lambda win, v: _ladder(steps, v, win._lift, sign))
     if k != 1:      # D_K as in lifting._gain: channel 0 times 1 / K, 1 times K
         a, b = k.numerator, k.denominator

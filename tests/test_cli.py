@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -269,6 +270,22 @@ class TestHugeRationals:
             assert _str_int(digits.lstrip("-")) * (-1 if n < 0 else 1) == n
         assert _int_str(10 ** 5000) == "1" + "0" * 5000
         assert _int_str(10 ** 5000 - 1) == "9" * 5000
+
+    def test_million_digit_tap_in_time(self):
+        """Text conversion is not quadratic in the digits: a 10^6-digit tap
+        is read and printed back in under 2 s each way, the same string,
+        with the process-wide digit limit untouched."""
+        rng = random.Random(7)
+        digits = rng.choice("123456789") + "".join(rng.choices("0123456789", k=10 ** 6 - 1))
+        text = f"step U\ntap 0 -{digits}\n"
+        limit = sys.get_int_max_str_digits()
+        t0 = time.perf_counter()
+        c = parse_cascade(text)
+        t1 = time.perf_counter()
+        out = print_cascade(c)
+        t2 = time.perf_counter()
+        assert out == text and sys.get_int_max_str_digits() == limit
+        assert t1 - t0 < 2 and t2 - t1 < 2, (t1 - t0, t2 - t1)
 
     def test_cascade_round_trip(self):
         big = F(3 ** 10480 + 1, 2 ** 16610)   # 5,001 digits over 5,001 digits

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from liftbank.factor import (_checked, _peel, _stuck, dc_normalize,
 from liftbank.formats import parse_bank, print_bank, print_cascade
 from liftbank.glstructure import (HS_MINUS, HS_PLUS, S_H, S_W, WA_ZERO,
                                   cascade_in_structure, check_order_increasing)
-from liftbank.laurent import ZERO, LaurentPoly
+from liftbank.laurent import ZERO, LaurentPoly, SymmetryTag
 from liftbank.linsolve import solve_exact
 from liftbank.lifting import (LiftingCascade, LiftingStep, lower, normalize_semidirect,
                               scaling_matrix, upper)
@@ -429,6 +430,46 @@ class TestIntegerPeel:
             assert _outcome(_peel, g, h, *rest) == _outcome(ref_peel, g, h, *rest)
 
 
+class TestHalfLiftBack:
+    """The peel computes half of each lifted filter and mirrors it, which is
+    exact because every partial product keeps its class's symmetry."""
+
+    TAGS = {True: (SymmetryTag("WS", F(0)), SymmetryTag("WS", F(-1))),
+            False: (SymmetryTag("HS", F(-1, 2)), SymmetryTag("HA", F(-1, 2)))}
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_partials_keep_their_symmetry(self, seed, ws):
+        rng = random.Random(seed)
+        h = (rand_ws_cascade(rng) if ws else rand_hs_cascade(rng)).product()
+        c = factor_ws(h) if ws else factor_hs(h)
+        for e in c.intermediates():     # multiplied out in full
+            assert (e.h0.symmetry(), e.h1.symmetry()) == self.TAGS[ws]
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_perturbed_pair(self, data):
+        """One symmetric pair of taps moved in one filter keeps the class:
+        the bank is refused as not unimodular, or factors exactly."""
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ws = data.draw(st.booleans())
+        h = (rand_ws_cascade(rng) if ws else rand_hs_cascade(rng)).product()
+        f = [h.h0, h.h1]
+        i = data.draw(st.integers(0, 1))
+        a, b = f[i].support()
+        n = data.draw(st.integers(a - 2, b + 2))
+        u = F(data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(1, 3)))
+        f[i] = f[i] + LaurentPoly({n: u}) + LaurentPoly({a + b - n: u if ws or i == 0 else -u})
+        p = make_bank(*f)
+        assert classify_bank(p).kind == ("WS_DELAY_MINIMIZED" if ws else "HS_CONCENTRIC")
+        try:
+            c = factor_ws(p) if ws else factor_hs(p)
+        except NotUnimodular:
+            assert not p.det_info().unimodular
+        else:
+            assert c.product() == p
+
+
 class TestDeferredDeterminant:
     """factor_ws and factor_hs check det h = 1 only on failure; every bank
     that is not unimodular still raises NotUnimodular, ahead of the class
@@ -489,8 +530,12 @@ class TestBankUntouched:
         self.check(TWO_STEP_WS)
 
     def test_other_matrices_keep_nothing(self):
+        """A product holds its two filters and no second copy of its taps:
+        its rows are derived, not stored."""
         h = TWO_STEP_WS.product()
-        assert h.scalar_filter(0) == synthesize_filter(h.row0) and h._filters is None
+        assert [h.scalar_filter(0), h.scalar_filter(1)] == TWO_STEP_WS._product_filters()
+        assert h.scalar_filter(0) == synthesize_filter(h.row0)
+        assert [f.name for f in fields(h)] == ["h0", "h1"] and not hasattr(h, "__dict__")
 
     @given(st.integers(0, 2 ** 32), st.booleans())
     def test_random(self, seed, ws):

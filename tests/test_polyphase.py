@@ -12,8 +12,8 @@ from liftbank.polyphase import (IDENTITY, J, L, LAMBDA, LAMBDA_INV, BankClass,
                                 analyze_filter, classify_bank, haar_bank,
                                 make_bank, merge_signal, split_signal,
                                 synthesize_filter)
-from liftbank.randgen import (rand_hs_cascade, rand_hs_concentric_bank,
-                              rand_ws_cascade)
+from liftbank.randgen import (rand_equal_length_hs_base, rand_hs_cascade,
+                              rand_hs_concentric_bank, rand_ws_cascade)
 
 F = Fraction
 
@@ -281,3 +281,58 @@ class TestGroupClosure:
                 found = True
                 break
         assert found
+
+
+@st.composite
+def filter_pairs(draw):
+    """(h0, h1): the filters of an S_W or S_H product, of an equal-length HS
+    base, of an S_H product with one filter moved by an even delay (a
+    monomial determinant off the class axes), or a random pair, often not
+    PR, with one filter perhaps zero."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["ws", "hs", "base", "moved", "random"]))
+    if kind == "random":
+        f = [rand_poly(rng, -rng.randint(0, 4), rng.randint(0, 4)) for _ in (0, 1)]
+        if draw(st.booleans()):
+            f[draw(st.integers(0, 1))] = LaurentPoly.zero()
+        return tuple(f)
+    h = {"ws": lambda: rand_ws_cascade(rng).product(),
+         "hs": lambda: rand_hs_cascade(rng).product(),
+         "base": lambda: rand_equal_length_hs_base(rng),
+         "moved": lambda: rand_hs_cascade(rng).product()}[kind]()
+    f = [h.scalar_filter(0), h.scalar_filter(1)]
+    if kind == "moved":
+        i = draw(st.integers(0, 1))
+        f[i] = f[i].shift(2 * draw(st.integers(-3, 3).filter(bool)))
+    return tuple(f)
+
+
+class TestFilterStorage:
+    """A matrix is stored as its two scalar filters; what the rows said,
+    the filters say the same."""
+
+    @given(filter_pairs())
+    def test_det_is_the_rows_det(self, f):
+        h = make_bank(*f)
+        a, b, c, d = h.entries()
+        assert h.det() == a * d - b * c
+
+    @given(filter_pairs())
+    def test_make_bank_is_the_row_constructor(self, f):
+        h = make_bank(*f)
+        r = PolyphaseMatrix(analyze_filter(f[0]), analyze_filter(f[1]))
+        assert h == r and hash(h) == hash(r)
+        assert (h.row0, h.row1) == (r.row0, r.row1) == (analyze_filter(f[0]), analyze_filter(f[1]))
+        assert (r.scalar_filter(0), r.scalar_filter(1)) == f
+
+    @given(filter_pairs())
+    def test_fallback_classes(self, f):
+        """Off the WS and HS classes, a bank is OTHER_PR exactly when the
+        rows' determinant is a monomial."""
+        h = make_bank(*f)
+        a, b, c, d = h.entries()
+        det = a * d - b * c
+        cls = classify_bank(h)
+        if cls.kind in ("OTHER_PR", "NON_PR"):
+            assert cls == BankClass("OTHER_PR" if det and det.order() == 0 else "NON_PR")
+            assert cls == relation_classify(h)
