@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,12 +92,29 @@ def _windows(y: List[List[int]], reach: int) -> Iterator[Tuple[int, int]]:
 
 
 def _limbs(raw: bytes, code: str) -> Sequence[int]:
-    """raw as 64-bit limbs of typecode code, read little-endian."""
+    """raw as limbs of typecode code, read little-endian."""
     if sys.byteorder == "little":
         return memoryview(raw).cast(code)
     limbs = array(code, raw)
     limbs.byteswap()
     return limbs
+
+
+def _fill(keys: List[int], low: bytes, lo: int, hi: int) -> Optional[bytearray]:
+    """The one-limb samples low of the sorted keys in lo .. hi - 1 at their
+    offsets in zeros, a slice copy per gapless run of keys: a run ends where
+    keys[i] - i grows, found by bisection.  None when over (hi - lo) / 64
+    keys are missing, as runs would then cost more than a read per index."""
+    s, b = bisect_left(keys, lo), bisect_left(keys, hi)
+    if s < b and 64 * (keys[b - 1] - keys[s] + 1 - (b - s)) > hi - lo:
+        return None
+    buf, lead = bytearray(8 * (hi - lo)), lambda i: keys[i] - i     # grows only at a gap
+    while s < b:
+        e = b if lead(b - 1) == lead(s) else bisect_right(range(b), lead(s), s + 1, b, key=lead)
+        o = 8 * (keys[s] - lo)
+        buf[o:o + 8 * (e - s)] = low[8 * s:8 * e]
+        s = e
+    return buf
 
 
 def _width(top: int) -> int:
@@ -107,48 +124,48 @@ def _width(top: int) -> int:
 
 class _Window:
     """n samples as the signed digits of one int, sample p at bits [B * p,
-    B * (p + 1)) with B = 64 * j: the samples' polynomial at 2^B.  A channel
-    is (w, den), such a window w of numerators over den > 0.  Sums, digit
-    shifts and integer multiples of windows are exact whatever the digits;
-    only the rounding floor and the 2-adic search read digits, which must
-    then lie in (-2^(B-2), 2^(B-2)): j is the fewest limbs that keep top, a
-    _Bound of every digit read, inside.  Digits shifted out below are
-    zero, because the window pads its run by the reach."""
+    B * (p + 1)): the samples' polynomial at 2^B.  A channel is (w, den),
+    such a window w of numerators over den > 0.  Sums, digit shifts and
+    integer multiples of windows are exact whatever the digits; only the
+    rounding floor and the 2-adic search read digits, which must then lie
+    in (-2^(B-2), 2^(B-2)) for top, a _Bound of every digit read: B is 32
+    when that keeps top inside, else 64 * j for the fewest 64-bit limbs j
+    that do.  Digits shifted out below are zero, because the window pads
+    its run by the reach."""
 
     def __init__(self, n: int, top: int, rounding: bool):
         self.j = j = (top.bit_length() + 65) // 64
-        self.bits = 64 * j
+        self.bits = b = 32 if top.bit_length() + 2 <= 32 else 64 * j
         self.n = n
         self.rounding = rounding
-        self.ones = int.from_bytes((b"\1" + bytes(8 * j - 1)) * n, "little")
+        self.ones = int.from_bytes((b"\1" + bytes(b // 8 - 1)) * n, "little")
 
     def _pack(self, r: _Read, start: int, phases: int) -> List[int]:
         """The windows of the phases channels that r = (x, keys, top, low)
         of _read interleaves, from channel index start on.  Each of the k =
         _width(top) two's complement limbs of the window's samples is packed
-        little-endian in one call and copied strided into the low k limbs of
-        the j-limb digits: low's slice padded with zeros for one limb and a
-        run of keys with no gap, else from x read once over the window.
-        Flipping each digit's bit 64 * k - 1 then biases it by 2^(64 k - 1),
-        which comes off again."""
-        (x, keys, top, low), j, n = r, self.j, self.n
+        little-endian and copied strided into the low k limbs of the j-limb
+        digits: one limb is copied from low by _fill, and wider samples, or
+        gaps _fill declines, read x once over the window and pack each limb
+        in one call.  32-bit digits take the low half of each one-limb
+        sample.  Flipping each digit's top packed bit, 2^(c-1) for c =
+        min(64 k, B), biases it by 2^(c-1), which comes off again."""
+        (x, keys, top, low), b, j, n = r, self.bits, self.j, self.n
         k, lo, hi = _width(top), phases * start, phases * (start + n)
-        a, b = bisect_left(keys, lo), bisect_left(keys, hi)
-        if k == 1 and a < b and keys[b - 1] - keys[a] == b - 1 - a:    # no gap
-            limbs = [bytes(8 * (keys[a] - lo)) + low[8 * a:8 * b] + bytes(8 * (hi - 1 - keys[b - 1]))]
-        else:
+        limbs = [_fill(keys, low, lo, hi) if k == 1 else None]
+        if limbs[0] is None:
             vals, limbs = list(map(x.get, range(lo, hi), repeat(0))), []
             for i in range(k):
                 src = map(rshift, vals, repeat(64 * i)) if i else vals
                 limbs.append(pack(f"<{len(vals)}q", *src) if i == k - 1 else
                              pack(f"<{len(vals)}Q", *map(and_, src, repeat(_MASK))))
-        wide = bytearray(8 * j * n * phases)
-        digits = memoryview(wide).cast("Q")
+        code, half = ("I", 2) if b == 32 else ("Q", 1)
+        digits = memoryview(bytearray(b // 8 * n * phases)).cast(code)
         for i in range(k):
-            limb = memoryview(limbs[i]).cast("Q")
+            limb = memoryview(limbs[i]).cast(code)
             for p in range(phases):
-                digits[j * n * p + i:j * n * (p + 1):j] = limb[p::phases]
-        high = self.ones << 64 * k - 1
+                digits[j * n * p + i:j * n * (p + 1):j] = limb[half * p::half * phases]
+        high = self.ones << min(64 * k, b) - 1
         out = []
         for p in range(phases):
             u = int.from_bytes(digits[j * n * p:j * n * (p + 1)], "little")
@@ -180,8 +197,9 @@ class _Window:
         out so that one packed window at a time is read, bounds[i] bounding
         channel i.  The largest 2^s <= 2^(B-2) that divides den and every digit
         is divided out first, and only the limbs the reduced bound needs are
-        read, the top one signed; one gcd with the odd part of den / 2^s, or
-        all of it when s is B - 2, then divides out the rest."""
+        read, the top one signed (a 32-bit digit is one); one gcd with the
+        odd part of den / 2^s, or all of it when s is B - 2, then divides
+        out the rest."""
         j, n, cap, high = self.j, self.n, self.bits - 2, self.ones << self.bits - 1
         res = []
         for i in range(len(out)):
@@ -194,9 +212,9 @@ class _Window:
             k = _width(bounds[i] >> s)
             w += high
             w ^= high
-            raw = w.to_bytes(8 * j * n, "little")
+            raw = w.to_bytes(self.bits // 8 * n, "little")
             del w
-            vals = _limbs(raw, "q")[k - 1::j]
+            vals = _limbs(raw, "i" if self.bits == 32 else "q")[k - 1::j]
             for m in range(k - 2, -1, -1):
                 vals = map(or_, map(lshift, vals, repeat(64)), _limbs(raw, "Q")[m::j])
             res.append(_lowest(list(vals), d, d >> t - s if s < cap else d))

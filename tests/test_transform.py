@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 import re
 import time
 from fractions import Fraction
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -446,6 +448,18 @@ def window_of(n, j):
     return win
 
 
+def window_32(n):
+    """A window of n samples whose digits have 32 bits."""
+    win = transform._Window(n, 1 << 28, False)
+    assert (win.bits, win.j) == (32, 1)
+    return win
+
+
+def direct_window_32(digits):
+    """digits as a window of 32-bit digits, one shift per digit."""
+    return sum(v << 32 * p for p, v in enumerate(digits))
+
+
 class TestWindowPrimitives:
     @settings(max_examples=300)
     @given(st.data())
@@ -482,6 +496,122 @@ class TestWindowPrimitives:
     def test_twos_of_a_zero_window_is_the_cap(self, j):
         for cap in (0, 1, 64 * j - 2):
             assert window_of(5, j)._twos(0, cap) == cap
+
+    @pytest.mark.parametrize("rounding", [False, True])
+    def test_digits_take_32_bits_while_the_bound_fits(self, rounding):
+        for n in (1, 7):
+            for top, bits in ((0, 32), (2 ** 30 - 1, 32), (2 ** 30, 64), (2 ** 62 - 1, 64),
+                              (2 ** 62, 128)):
+                win = transform._Window(n, top, rounding)
+                assert (win.bits, win.j) == (bits, max(1, bits // 64))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_pack_at_32_bits_is_direct_packing(self, data):
+        phases = data.draw(st.integers(1, 2))
+        n, start = data.draw(st.integers(1, 12)), data.draw(st.integers(-6, 6))
+        # gapped keys, some outside the window, and digits up to the 2^30 limit
+        digit = st.integers(-300, 300) | st.integers(-2 ** 30 + 1, 2 ** 30 - 1)
+        x = data.draw(st.dictionaries(st.integers(phases * start - 3, phases * (start + n) + 2),
+                                      digit))
+        want = [direct_window_32([x.get(phases * (start + i) + p, 0) for i in range(n)])
+                for p in range(phases)]
+        x, keys, top, low = transform._read(x, False)
+        for top in (top, 2 ** 30 - 1):
+            assert window_32(n)._pack((x, keys, top, low), start, phases) == want
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_pack_fills_a_few_gaps_run_by_run(self, data):
+        # windows long enough that the reader's pack fills them around a
+        # few missing keys, with keys on both sides of the window
+        phases, n = data.draw(st.integers(1, 2)), data.draw(st.integers(64, 300))
+        drop = data.draw(st.sets(st.integers(0, phases * (n + 2) - 1), max_size=phases * n // 64))
+        rng = data.draw(st.randoms(use_true_random=False))
+        x = {k: rng.randint(-2 ** 29, 2 ** 29) for k in range(phases * (n + 2)) if k not in drop}
+        digits = [[x.get(phases * (1 + i) + p, 0) for i in range(n)] for p in range(phases)]
+        r = transform._read(x, False)
+        assert transform._fill(r[1], r[3], phases, phases * (n + 1)) is not None
+        assert window_32(n)._pack(r, 1, phases) == list(map(direct_window_32, digits))
+        assert window_of(n, 1)._pack(r, 1, phases) == [direct_window(d, 1) for d in digits]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_twos_at_32_bits_is_the_least_trailing_zero_count(self, data):
+        digit = st.just(0) | st.builds(lambda v, e: (2 * v + 1) << e, st.integers(-2 ** 20, 2 ** 20),
+                                       st.integers(0, 8))
+        digits = data.draw(st.lists(digit, min_size=1, max_size=12))
+        cap = data.draw(st.integers(0, 30))
+        zeros = [(v & -v).bit_length() - 1 for v in digits if v]
+        win = window_32(len(digits))
+        assert win._twos(direct_window_32(digits), cap) == min([cap, *zeros])
+        assert win._twos(0, cap) == cap
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_unpack_at_32_bits_is_lowest_terms(self, data):
+        digits = data.draw(st.lists(st.integers(-2 ** 30 + 1, 2 ** 30 - 1) | st.integers(-9, 9)
+                                    .map(lambda v: v << 20), min_size=1, max_size=12))
+        den = data.draw(st.integers(1, 99)) << data.draw(st.integers(0, 40))
+        bound = max(map(abs, digits))
+        (vals, d), = window_32(len(digits))._unpack([(direct_window_32(digits), den)], [bound])
+        assert d > 0 and math.gcd(d, *vals) == 1
+        assert [F(v, d) for v in vals] == [F(v, den) for v in digits]
+
+
+small_signals = (st.dictionaries(st.integers(-40, 40), st.integers(-300, 300), max_size=40)
+                 | st.lists(st.integers(-300, 300), max_size=40).map(lambda v: dict(enumerate(v, -9))))
+
+
+class TestDigitWidthLimit:
+    """Both ladders on signals scaled so that the windows' bound lands
+    between 2^27 and 2^33, on either side of the largest bound that 32-bit
+    digits take, checked against the dict and LaurentPoly ladders.  Random
+    S_W and S_H cascades of a few steps keep the unscaled bound small, and
+    the scale is taken from it: the bound is close to proportional."""
+
+    @staticmethod
+    def scale(data, run, x):
+        """A factor that puts the bound of run's windows on x near a drawn target."""
+        tops, init = [], transform._Window.__init__
+
+        def spy(win, n, top, rounding):
+            tops.append(top)
+            init(win, n, top, rounding)
+        with mock.patch.object(transform._Window, "__init__", spy):
+            run(x)
+        target = data.draw(st.integers(2 ** 27, 2 ** 33))
+        return max(1, target // max([1, *tops]))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_reversible(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        c = rand_dyadic_ws_cascade(rng, n_steps=data.draw(st.integers(1, 4)))
+        x = data.draw(small_signals)
+        f = self.scale(data, lambda v: reversible_analysis(c, v), x)
+        x = {k: v * f + rng.randrange(f) for k, v in x.items()}
+        y = reversible_analysis(c, x)
+        assert y == ref_analysis(c, x)
+        assert reversible_synthesis(c, y) == {k: v for k, v in x.items() if v}
+        z = (dict(y[1]), {k - 1: v for k, v in y[0].items()})
+        assert reversible_synthesis(c, z) == ref_synthesis(c, z)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_exact(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        n = data.draw(st.integers(1, 3))
+        c = data.draw(st.sampled_from([
+            lambda: rand_ws_cascade(rng, n_steps=n),
+            lambda: rand_hs_cascade(rng, n_steps=n, base=rand_equal_length_hs_base(rng, width=n % 3))]))()
+        x = LaurentPoly(data.draw(small_signals))
+        x = x * self.scale(data, lambda v: apply_analysis(c, v), x)
+        y = apply_analysis(c, x)
+        assert y == ref_exact_analysis(c, x)
+        assert apply_synthesis(c, y) == x
+        z = (y[1], y[0].shift(-1))
+        assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
 
 
 class TestWindowReduction:
@@ -716,6 +846,34 @@ class TestReversibleInputs:
         assert calls == []
         reversible_analysis(self.c, {**self.dense, 5: 2.0})
         assert len(calls) == 1024
+
+
+class TestPinnedTransforms:
+    """The reversible analysis and synthesis outputs, and the exact analysis
+    outputs (numerators and denominators), of seeded S_W and S_H cascades
+    on dense and gapped integer signals, pinned by their digest: a change
+    that alters any output byte fails here.  The samples are scaled so that
+    the windows' digits take 32 bits, one limb and two limbs."""
+
+    DIGEST = "7573c05fb7e0ab33b8155462d7fabd958a81400e3c529501e19db4d28b12ad25"
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(40):
+            rng = random.Random(seed)
+            f = rng.randrange(1 << rng.choice([0, 16, 24, 40, 56, 80])) | 1
+            dense = {k: f * v for k, v in rand_int_signal(rng, 256).items()}
+            gapped = {k: v for k, v in dense.items() if rng.random() < 0.7}
+            rev = rand_dyadic_ws_cascade(rng)
+            ws = rand_ws_cascade(rng)
+            hs = rand_hs_cascade(rng, base=rand_equal_length_hs_base(rng, width=seed % 3))
+            for x in (dense, gapped):
+                y = reversible_analysis(rev, x)
+                outs = [(v, 1) for v in (*y, reversible_synthesis(rev, (y[1], y[0])))]
+                for c in (ws, hs):
+                    outs += [(v._num, v._den) for v in apply_analysis(c, LaurentPoly(x))]
+                digest.update(repr([(sorted(v.items()), d) for v, d in outs]).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestVerifyPR:
