@@ -38,10 +38,16 @@ def laurent_divmod(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Lau
     ties toward lower degree.
 
     With num on [a, b], the valid remainders are the unique ones on the
-    windows [a + kills - t, b - t], t = 0..kills: cancelling the kills taps
+    windows [a + kills - t, b - t], t = 0..kills: cancelling the taps
     below window 0 with den's bottom tap reaches it, and cancelling the top
     tap of window t with den's top tap slides it down to window t + 1.
+    Only nonzero taps are cancelled (a zero top tap leaves r in the next
+    window already), so the cost follows the taps, not the width.
     """
+    for p in (num, den):
+        if not isinstance(p, LaurentPoly):
+            raise InvalidArgument(f"laurent_divmod takes LaurentPoly operands, "
+                                  f"got {type(p).__name__}")
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
@@ -54,18 +60,21 @@ def laurent_divmod(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, Lau
 
     q: dict = {}
     r, best = num, None  # best: ((width, top degree), q, r)
-    moves = [(n, d_lo) for n in range(a, a + kills)] + [(b - t, d_hi) for t in range(kills)]
-    for i, (n, d) in enumerate(moves, start=1):
+
+    def cancel(n: int, d: int) -> LaurentPoly:
         coef = r.coeff(n) / den.coeff(d)
-        if coef:
-            q[n - d] = q.get(n - d, 0) + coef
-            r = r - den.shift(n - d).scale(coef)
-        if i < kills:
-            continue
+        q[n - d] = q.get(n - d, 0) + coef
+        return r - den.shift(n - d).scale(coef)
+
+    while r and r.support()[0] < a + kills:
+        r = cancel(r.support()[0], d_lo)
+    while True:
         key = (r.order() + 1, -r.support()[0]) if r else (0, 0)
         if best is None or key < best[0]:
             best = (key, LaurentPoly(q), r)
-    return best[1], best[2]
+        if not r or r.support()[1] <= b - kills:
+            return best[1], best[2]
+        r = cancel(r.support()[1], d_hi)
 
 
 def _monomial_inverse(f: LaurentPoly) -> LaurentPoly:
@@ -292,30 +301,18 @@ def factor_euclidean(h: PolyphaseMatrix, policy: str = "A") -> LiftingCascade:
         apply_step(target, -q)
         target = 1 - target
 
-    # Endgame: one column entry is zero; clear the off-pattern entry and
-    # expand the monomial remainder.
-    if e(1, 1).is_zero() or e(0, 0).is_zero():
-        # heading to an antidiagonal remainder
-        if e(1, 1).is_zero() and e(0, 0):
-            apply_step(0, -(e(0, 0) * _monomial_inverse(e(1, 0))))
-        elif e(0, 0).is_zero() and e(1, 1):
-            apply_step(1, -(e(1, 1) * _monomial_inverse(e(0, 1))))
-        b = e(0, 1)
-        if e(1, 0) != -_monomial_inverse(b):
-            raise FactorizationStuck("antidiagonal remainder is not unimodular")
-        rem: List[LiftingStep] = _antidiag_word(b)
+    # One entry of column col is zero, so by det = 1 the other row's entry
+    # in the other column is a monomial: row t clears its other entry
+    # against it, leaving a diagonal or an antidiagonal monomial matrix.
+    t = 0 if e(0, col) else 1
+    if e(t, 1 - col):
+        apply_step(t, -(e(t, 1 - col) * _monomial_inverse(e(1 - t, 1 - col))))
+    if not e(0, 0):
+        rem: List[LiftingStep] = _antidiag_word(e(0, 1))
+    elif e(0, 0).support()[0] == 0:
+        rem = [Fraction(e(1, 1).coeff(0))]  # constant: plain D_K
     else:
-        # heading to a diagonal remainder
-        if e(1, 0):
-            apply_step(1, -(e(1, 0) * _monomial_inverse(e(0, 0))))
-        elif e(0, 1):
-            apply_step(0, -(e(0, 1) * _monomial_inverse(e(1, 1))))
-        m = e(0, 0)
-        a, b_idx = m.support()
-        if a == 0:
-            rem = [Fraction(e(1, 1).coeff(0))]  # constant: plain D_K
-        else:
-            rem = _antidiag_word(m) + _antidiag_word(LaurentPoly.constant(-1))
+        rem = _antidiag_word(e(0, 0)) + _antidiag_word(LaurentPoly.constant(-1))
 
     return _checked(normalize_semidirect([op.inverse() for op in ops] + rem), h)
 

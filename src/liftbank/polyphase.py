@@ -128,9 +128,6 @@ class PolyphaseMatrix:
     row0 = property(lambda self: analyze_filter(self.h0))
     row1 = property(lambda self: analyze_filter(self.h1))
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries()[2 * i + j]
-
     def entries(self):
         return tuple(p for r in (self.row0, self.row1) for p in (r.comp0, r.comp1))
 

@@ -405,11 +405,8 @@ def _int_sample(k, v) -> Tuple[int, int]:
     return k, iv
 
 
-def _int_samples(x: Mapping[int, int]) -> Mapping[int, int]:
-    """x with each index and value checked by _int_sample: x itself when
-    they are all ints, else a dict of ints."""
-    if {*map(type, x), *map(type, x.values())} <= {int}:
-        return x
+def _int_samples(x: Mapping[int, int]) -> Dict[int, int]:
+    """x as a dict of ints, each index and value checked by _int_sample."""
     return dict(map(_int_sample, x, x.values()))
 
 

@@ -93,6 +93,12 @@ class TestLaurentDivmod:
         with pytest.raises(ZeroDivisionError):
             laurent_divmod(LaurentPoly.constant(1), LaurentPoly.zero())
 
+    def test_rejects_non_polynomials(self):
+        with pytest.raises(InvalidArgument, match="int"):
+            laurent_divmod(1, 2)
+        with pytest.raises(InvalidArgument, match="Fraction"):
+            laurent_divmod(LaurentPoly.constant(1), F(1, 2))
+
     def test_narrowest_remainder_past_a_double_cancellation(self):
         # Cancelling the top tap z^-6 leaves z^-1 - 15/2 z^-3, already
         # shorter than den: a division that stops there never cancels the
@@ -249,6 +255,13 @@ class TestWideSteps:
         self.check(factor_hs, LiftingCascade(F(1), (
             lower(WA_ZERO.basis(1)), upper(WA_ZERO.basis(radius).scale(F(2, 5)))),
             haar_bank()))
+
+    @pytest.mark.parametrize("policy", ["A", "B"])
+    def test_euclidean(self, radius, policy):
+        # Upper step first: on the lower-first order policy B finds steps
+        # of radius + 1 taps each, so its cost follows the radius.
+        self.check(lambda h: factor_euclidean(h, policy), LiftingCascade(F(1), (
+            upper(HS_PLUS.basis(radius).scale(F(1, 3))), lower(HS_MINUS.basis(1)))))
 
 
 class TestFactorEuclidean:
@@ -617,4 +630,27 @@ class TestPinnedOutputs:
             rng = random.Random(seed)
             for c in (rand_ws_cascade(rng), rand_hs_cascade(rng)):
                 digest.update(print_cascade(_factor_for(c)(c.product())).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestPinnedEuclidean:
+    """What factor_euclidean prints under policies A and B on 60 S_W and
+    S_H randgen banks, Haar, the identity and three monomial banks, pinned
+    by its digest: the oracle is not unique, so its choices are pinned."""
+
+    DIGEST = "9b1c98fd2f1a5ebbd48190001f17aafbdd64b9eaedc5042a91a37be70b0c199b"
+
+    def test_digest(self):
+        z = LaurentPoly.monomial(-1)
+        banks = []
+        for seed in range(30):
+            rng = random.Random(seed)
+            banks += [rand_ws_cascade(rng).product(), rand_hs_cascade(rng).product()]
+        banks += [haar_bank(), IDENTITY, PolyphaseMatrix.diagonal(z, z.reflect()),
+                  PolyphaseMatrix.diagonal(2, F(1, 2)),
+                  PolyphaseMatrix.from_entries(0, z, -z.reflect(), 0)]
+        digest = hashlib.sha256()
+        for h in banks:
+            for policy in ("A", "B"):
+                digest.update(print_cascade(factor_euclidean(h, policy)).encode())
         assert digest.hexdigest() == self.DIGEST

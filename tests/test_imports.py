@@ -1,9 +1,10 @@
 """Hygiene of the library modules, checked on their syntax trees:
 imports sit at module level, every imported name is used, no module
 multiplies matrices with `@`, integer numerators are reduced in
-`laurent` alone, no pattern spells a digit `\\d`, samples cross into
-and out of packed windows in C, and exact transform outputs leave the
-window in lowest terms."""
+`laurent` alone, the Laurent division visits only nonzero taps, no
+pattern spells a digit `\\d`, samples cross into and out of packed
+windows in C, and exact transform outputs leave the window in lowest
+terms."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,17 @@ def test_reduction_stays_in_laurent(path):
         assert not from_math, f"{path.name}: uses {sorted(from_math)} from math"
     elif path.name != "laurent.py":
         assert "gcd" not in from_math, f"{path.name}: uses gcd"
+
+
+def test_division_visits_only_nonzero_taps():
+    # laurent_divmod cancels the remainder's own end taps; a range() over
+    # the window's indices would make its cost follow the width again.
+    path = Path(liftbank.__file__).parent / "factor.py"
+    divmod_ = next(node for node in tree(path).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "laurent_divmod")
+    lines = [node.lineno for node in ast.walk(divmod_) if isinstance(node, ast.Name)
+             and node.id == "range"]
+    assert not lines, f"laurent_divmod: range at lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
