@@ -16,6 +16,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -39,16 +40,11 @@ _MASK = (1 << 64) - 1
 # Packed windows
 
 
-def _radius(f: LaurentPoly) -> int:
-    """The largest |tap index| of f: how far f moves a sample."""
-    return max(map(abs, f._num), default=0)
-
-
 def _reach(c: LiftingCascade) -> int:
     """How far c's base and steps together move a sample: the base
-    entries' largest radius plus the sum of the step filters' radii."""
-    base = max(map(abs, c.base.support())) if c.base.h0 or c.base.h1 else 0
-    return base + sum(_radius(s.filter) for s in c.steps)
+    entries' largest radius plus the sum of the step filters' largest |tap index|."""
+    base = max(map(abs, c.base.support())) if c.base != IDENTITY and (c.base.h0 or c.base.h1) else 0
+    return base + sum(max(map(abs, s.filter._num), default=0) for s in c.steps)
 
 
 def _read(x: Mapping[int, int], check: bool) -> _Read:
@@ -59,16 +55,14 @@ def _read(x: Mapping[int, int], check: bool) -> _Read:
     goes through _int_samples, which raises or converts, and is read
     again.  The test is on type, not on what struct takes: struct reads
     any __index__, where _int_sample reads int(v) and compares it to v."""
-    keys, vals, low = list(x), list(x.values()), None
+    keys, vals = list(x), list(x.values())
     if check and [*map(type, keys), *map(type, vals)].count(int) < 2 * len(keys):
         return _read(_int_samples(x), False)
     order = sorted(keys)
     if order != keys:                   # not inserted in key order
         vals = list(map(x.__getitem__, order))
-    top = max(map(abs, vals), default=0)
-    if not top >> 63:
-        low = pack(f"<{len(vals)}q", *vals)
-    return x, order, top, low
+    top = max(max(vals, default=0), -min(vals, default=0))
+    return x, order, top, None if top >> 63 else pack(f"<{len(vals)}q", *vals)
 
 
 def _windows(y: List[List[int]], reach: int) -> Iterator[Tuple[int, int]]:
@@ -128,10 +122,10 @@ class _Window:
     such a window w of numerators over den > 0.  Sums, digit shifts and
     integer multiples of windows are exact whatever the digits; only the
     rounding floor and the 2-adic search read digits, which must then lie
-    in (-2^(B-2), 2^(B-2)) for top, a _Bound of every digit read: B is 32
-    when that keeps top inside, else 64 * j for the fewest 64-bit limbs j
-    that do.  Digits shifted out below are zero, because the window pads
-    its run by the reach."""
+    in (-2^(B-2), 2^(B-2)) for top, a _Bound of every digit read or, for a
+    _Checked window, of its inputs: B is 32 when that keeps top inside,
+    else 64 * j for the fewest 64-bit limbs j that do.  Digits shifted out
+    below are zero, because the window pads its run by the reach."""
 
     def __init__(self, n: int, top: int, rounding: bool):
         self.j = j = (top.bit_length() + 65) // 64
@@ -183,7 +177,7 @@ class _Window:
         u = w + (ones << self.bits - 2)
         if not u & (ones << cap) - ones:
             return cap
-        lo, hi = 0, cap - 1
+        lo, hi = 0, 0 if u & ones else cap - 1     # an odd digit answers 0 at once
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if u & (ones << mid) - ones:
@@ -275,6 +269,33 @@ class _Window:
         return out
 
 
+class _Checked(_Window):
+    """A rounding window as wide as its inputs, a channel (w, m) with m
+    bounding w's digits.  A step adds floor((sign * S * src + h) / den) to
+    the integer dst, so the floor reads only the update, at most ceil(L1 *
+    m_src / den) for L1 = sum |num|.  Where m would break the floor's L1 *
+    m_src + den <= 2^(B-2) or the window's m <= 2^(B-2), _fits tests w."""
+
+    def _lift(self, dst: Channel, filt: LaurentPoly, src: Channel, sign: int) -> Channel:
+        (w, md), (v, ms), room = dst, src, 1 << self.bits - 2
+        num, den = filt._num, filt._den
+        l1 = sum(map(abs, num.values()))
+        ms = ms if l1 * ms + den <= room else self._fits(v, (room - den) // l1)
+        w += self._conv(0, num, sign, v, den, sign)
+        md += -(-l1 * ms // den)
+        return w, md if md <= room else self._fits(w, room)
+
+    def _fits(self, w: int, cap: int) -> int:
+        """2^k for the largest k with 2^k <= cap if each digit of w, all in
+        (-2^(B-1), 2^(B-1)), lies in [-2^k, 2^k), else OverflowError: adding
+        2^k moves those into [0, 2^(k+1)) with no borrow, leaving bits k + 1
+        .. B - 1 of each field clear; any other digit sets one of them."""
+        k, ones = cap.bit_length() - 1, self.ones
+        if cap < 1 or (w + (ones << k)) & ones * ((1 << self.bits) - (2 << k)):
+            raise OverflowError
+        return 1 << k
+
+
 class _Bound(_Window):
     """The same stages on magnitudes: a channel (m, den) has no numerator
     above m in absolute value, and top collects what the floor reads."""
@@ -299,7 +320,7 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     terms, over the lcm of its windows' lowest denominators (the window that
     reaches the lcm's power of a prime has a numerator it does not divide).
     Synthesis undoes the stages in reverse order.  _read checks y when
-    rounding, a _Bound sizes the windows, and a singular base raises first."""
+    rounding, a _Bound sizes exact and overflowing windows, and a singular base raises first."""
     k, steps, plan = c.scale, c.steps[::sign], []
     if c.base != IDENTITY:      # reversible: base I
         a, b, g, d = c.base.entries()   # the adjugate here, not inverse(): no filter round trip
@@ -321,17 +342,26 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
 
     q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
     reads = [_read(x, rounding) for x in y]
-    tops = [t for _, _, t, _ in reads]
-    bound = _Bound(rounding)
-    out = stages(bound, list(zip([t for t in tops for _ in range(3 - q)], dens)))
-    bounds = [m for m, _ in out]
-    top = max(bound.top, *tops, *bounds)
+    tops = [t for _, _, t, _ in reads for _ in range(3 - q)]     # one per input channel
+    bounded: List[int] = []     # a _Bound pass's output bounds, once a window needs them
     parts: List[list] = [[] for _ in range(0, 2, q)]    # (first index, values, den) per window
+    pack = lambda win, start: [w for r in reads for w in win._pack(r, start, 3 - q)]
     for lo, hi in _windows([keys for _, keys, _, _ in reads], reach):
-        win = _Window(hi - lo + 2 * reach, top, rounding)
-        out = stages(win, list(zip([w for r in reads for w in win._pack(r, lo - reach, 3 - q)], dens)))
+        n, start, out = hi - lo + 2 * reach, lo - reach, None
+        if rounding:
+            with suppress(OverflowError):
+                win = _Checked(n, max(tops), True)
+                out = stages(win, list(zip(pack(win, start), tops)))
+                out, bounds = [(w, 1) for w, _ in out], [m for _, m in out]
+        if out is None:
+            if not bounded:
+                bound = _Bound(rounding)
+                bounded = [m for m, _ in stages(bound, list(zip(tops, dens)))]
+                top = max(bound.top, *tops, *bounded)
+            win = _Window(n, top, rounding)
+            out, bounds = stages(win, list(zip(pack(win, start), dens))), bounded
         for i, (vals, d) in enumerate(win._unpack(out, bounds)):
-            parts[i // q].append((q * (lo - reach) + i % q, vals, d))
+            parts[i // q].append((q * start + i % q, vals, d))
     res = []
     for windows in parts:
         den, found = lcm(*(d for _, _, d in windows)), {}

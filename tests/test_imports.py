@@ -3,8 +3,8 @@ imports sit at module level, every imported name is used, no module
 multiplies matrices with `@`, integer numerators are reduced in
 `laurent` alone, the Laurent division visits only nonzero taps, no
 pattern spells a digit `\\d`, samples cross into and out of packed
-windows in C, and exact transform outputs leave the window in lowest
-terms."""
+windows in C, checked windows test their digits in C, and exact
+transform outputs leave the window in lowest terms."""
 
 import ast
 from pathlib import Path
@@ -117,6 +117,23 @@ def test_window_samples_cross_in_c():
                           and getattr(node.iter.func, "id", None) == "range")]
         assert not comps, f"{method.name}: comprehensions at lines {comps}"
         assert not loops, f"{method.name}: loops not over range() at lines {loops}"
+
+
+def test_checked_windows_test_digits_in_c():
+    # _Checked._fits tests every digit of a window with one add and one
+    # AND, and _Checked._lift keeps one bound per channel: neither walks
+    # the samples or the taps in Python.
+    path = Path(liftbank.__file__).parent / "transform.py"
+    checked = next(node for node in tree(path).body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Checked")
+    methods = [node for node in checked.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("_fits", "_lift")]
+    assert len(methods) == 2
+    for method in methods:
+        found = [node.lineno for node in ast.walk(method)
+                 if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                                      ast.For, ast.While))]
+        assert not found, f"_Checked.{method.name}: loops or comprehensions at lines {found}"
 
 
 def test_exact_outputs_are_reduced_by_the_window():

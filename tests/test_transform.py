@@ -19,7 +19,7 @@ from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
 from liftbank.polyphase import (IDENTITY, PolyphaseMatrix, PolyphaseVector, haar_bank,
                                 merge_signal, split_signal)
 from liftbank.randgen import (rand_dyadic_ws_cascade, rand_equal_length_hs_base,
-                              rand_hs_cascade, rand_int_signal, rand_signal,
+                              rand_hs_cascade, rand_hs_filter, rand_int_signal, rand_signal,
                               rand_ws_cascade)
 from liftbank.transform import (apply_analysis, apply_synthesis,
                                 reversible_analysis, reversible_synthesis,
@@ -612,6 +612,95 @@ class TestDigitWidthLimit:
         assert apply_synthesis(c, y) == x
         z = (y[1], y[0].shift(-1))
         assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
+
+
+def window_kinds(monkeypatch):
+    """The (class name, digit bits) of every window built from here on."""
+    made, init = [], transform._Window.__init__
+
+    def spy(win, n, top, rounding):
+        init(win, n, top, rounding)
+        made.append((type(win).__name__, win.bits))
+    monkeypatch.setattr(transform._Window, "__init__", spy)
+    return made
+
+
+class TestCheckedWindows:
+    """Rounding windows as wide as their inputs: the packed range test against
+    a digit-by-digit reference, a ladder whose digits outgrow 32 bits on the
+    way, which a _Bound-sized window then redoes, and a pool like perfbench's
+    transform-reversible-1k, where none does."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_fits_is_the_digit_range_test(self, data):
+        bits = data.draw(st.sampled_from([32, 64, 128]))
+        k = data.draw(st.integers(0, bits - 2))
+        edges = [s * (1 << e) + d for s in (1, -1) for e in (k, bits - 1) for d in (-1, 0, 1)]
+        digit = (st.sampled_from([v for v in edges if abs(v) < 1 << bits - 1])
+                 | st.integers(-(1 << k), (1 << k) - 1)
+                 | st.integers(-(1 << bits - 1) + 1, (1 << bits - 1) - 1))
+        digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        win = transform._Checked(len(digits), 1 << bits - 3 if bits > 32 else 0, True)
+        assert win.bits == bits
+        w = direct_window_32(digits) if bits == 32 else direct_window(digits, bits // 64)
+        cap = data.draw(st.integers(1 << k, (2 << k) - 1))     # 2^k is the largest power <= cap
+        if all(-(1 << k) <= v < 1 << k for v in digits):
+            assert win._fits(w, cap) == 1 << k
+        else:
+            with pytest.raises(OverflowError):
+                win._fits(w, cap)
+        with pytest.raises(OverflowError):      # no power of 2 fits under 1
+            win._fits(w, 0)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_digits_past_2_to_the_30_fall_back_to_the_bound(self, data):
+        # Inputs under 2^30: channel m near +-2^30 and the other near 2^27,
+        # of which two or three steps on m in a row add 5 .. 7 times.  The
+        # first step takes m's digits past 2^30, where the 32-bit window
+        # overflows, and the next past 2^31; random steps follow.  Synthesis
+        # meets the same steps first, on channels of opposite signs.
+        m, sign = data.draw(st.integers(0, 1)), data.draw(st.sampled_from([1, -1]))
+        run = [LiftingStep(m, LaurentPoly({t: g})) for t, g in data.draw(st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(5, 7)), min_size=2, max_size=3))]
+        rest = data.draw(dyadic_cascades()).steps
+        n, start = data.draw(st.integers(5, 12)), data.draw(st.integers(-9, 9))     # n > 4: taps overlap
+
+        def channel(v, spread):
+            return [v + data.draw(st.integers(0, spread)) * (1 if v < 0 else -1) for _ in range(n)]
+        ch = [None, None]
+        ch[m], ch[1 - m] = channel(sign * (2 ** 30 - 1), 2 ** 20), channel(sign * 2 ** 27, 2 ** 20)
+        x = {2 * (start + i) + p: ch[p][i] for p in (0, 1) for i in range(n)}
+        ch[m] = [-v for v in ch[m]]
+        z = [dict(enumerate(v, start)) for v in ch]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            made = window_kinds(monkeypatch)
+            c = LiftingCascade(1, (*run, *rest))
+            y = reversible_analysis(c, x)
+            analysis, made[:] = made[:], []
+            back = LiftingCascade(1, (*rest, *run))
+            assert reversible_synthesis(back, z) == ref_synthesis(back, z)
+        for kinds in (analysis, made):     # 32-bit windows, one of them redone wider
+            assert {bits for kind, bits in kinds if kind == "_Checked"} == {32}
+            assert any(kind == "_Window" and bits > 32 for kind, bits in kinds)
+        assert y == ref_analysis(c, x)
+        assert reversible_synthesis(c, y) == x
+
+    def test_reversible_1k_pool_stays_at_32_bits(self, monkeypatch):
+        # perfbench's seed-1 transform-reversible-1k pool, drawn the same
+        # way: S_W cascades of 4 .. 8 alternating steps whose HS filters'
+        # radii cycle through 1 .. 3, on 1,024 samples in +-255.
+        rng = random.Random(1)
+        made = window_kinds(monkeypatch)
+        for j in range(120):
+            m, steps = rng.randint(0, 1), []
+            for i in range(4 + j % 5):
+                steps.append(LiftingStep(m, rand_hs_filter(rng, 1 - 2 * m, 1 + (j + i) % 3)))
+                m = 1 - m
+            c, x = LiftingCascade(1, tuple(steps)), rand_int_signal(rng, 1024)
+            assert reversible_synthesis(c, reversible_analysis(c, x)) == {k: v for k, v in x.items() if v}
+        assert made == [("_Checked", 32)] * 240
 
 
 class TestWindowReduction:
