@@ -134,8 +134,9 @@ def _ends(m: PolyphaseMatrix) -> List[Optional[tuple]]:
 
 
 def _order(e: List[Optional[tuple]]) -> int:
-    """The polyphase order of the matrix whose scalar filters have end taps e."""
-    lo, hi = _hull([x and _row_support(x[0], x[1]) for x in e], "zero matrix")
+    """The polyphase order of the partial product whose scalar filters have
+    end taps e.  Steps are invertible, so only a zero base makes one zero."""
+    lo, hi = _hull([x and _row_support(x[0], x[1]) for x in e], "E^(-1) (the base) is the zero matrix")
     return hi - lo
 
 

@@ -16,7 +16,6 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -121,17 +120,16 @@ class _Window:
     B * (p + 1)): the samples' polynomial at 2^B.  A channel is (w, den),
     such a window w of numerators over den > 0.  Sums, digit shifts and
     integer multiples of windows are exact whatever the digits; only the
-    rounding floor and the 2-adic search read digits, which must then lie
-    in (-2^(B-2), 2^(B-2)) for top, a _Bound of every digit read or, for a
-    _Checked window, of its inputs: B is 32 when that keeps top inside,
-    else 64 * j for the fewest 64-bit limbs j that do.  Digits shifted out
-    below are zero, because the window pads its run by the reach."""
+    2-adic search and the _Checked floor read digits, which must then lie
+    in (-2^(B-2), 2^(B-2)) for top, a _Bound of the exact ladder's inputs
+    and outputs or the _Checked window's inputs: B is 32 when that keeps
+    top inside, else 64 * j for the fewest 64-bit limbs j that do.  Digits
+    shifted out below are zero, because the window pads its run by the reach."""
 
-    def __init__(self, n: int, top: int, rounding: bool):
+    def __init__(self, n: int, top: int):
         self.j = j = (top.bit_length() + 65) // 64
         self.bits = b = 32 if top.bit_length() + 2 <= 32 else 64 * j
         self.n = n
-        self.rounding = rounding
         self.ones = int.from_bytes((b"\1" + bytes(b // 8 - 1)) * n, "little")
 
     def _pack(self, r: _Read, start: int, phases: int) -> List[int]:
@@ -214,16 +212,10 @@ class _Window:
             res.append(_lowest(list(vals), d, d >> t - s if s < cap else d))
         return res
 
-    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int, den: int = 1,
-              sign: int = 1) -> int:
+    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int) -> int:
         """acc plus f * num[n] times src shifted up n digits, over the taps
         n; taps with equal |f * num[n]|, such as a linear-phase filter's
-        pairs, share one multiple of src.  For den = 2^s > 1 each digit v
-        then becomes floor((v + h) / 2^s): h = den // 2 rounds, and h =
-        (den - 1) // 2 for sign = -1 undoes that rounding, as -floor((v +
-        h) / 2^s) = floor((-v + 2^s - 1 - h) / 2^s).  The bias 2^(B-2) makes
-        all digits non-negative for one shift; the mask drops the bits
-        shifted in from above, and the bias comes off again."""
+        pairs, share one multiple of src."""
         b = self.bits
         multiples: Dict[int, int] = {1: src}
         for n, t in num.items():
@@ -233,27 +225,18 @@ class _Window:
                 m = multiples[abs(t)] = src * abs(t)
             m = m << b * n if n >= 0 else m >> -b * n
             acc = acc + m if t > 0 else acc - m
-        if den > 1:
-            multiples = m = None
-            s, ones = den.bit_length() - 1, self.ones
-            acc += ones * ((1 << b - 2) + ((den - (sign < 0)) >> 1))
-            acc >>= s
-            acc &= (ones << b - s) - ones
-            acc -= ones << b - 2 - s
         return acc
 
     def _lift(self, dst: Channel, filt: LaurentPoly, src: Channel, sign: int) -> Channel:
         """dst + sign * S * src with S = num / dS, over the denominator
-        L = lcm(den_dst, den_src * dS).  When rounding, both denominators
-        are 1 and S is dyadic, so L = dS, and _conv floors back to 1."""
+        L = lcm(den_dst, den_src * dS)."""
         num = filt._num
         if not num:
             return dst
         (w, dd), (v, ds) = dst, src
         ds *= filt._den
         den = lcm(dd, ds)
-        f = den if self.rounding else 1
-        return self._conv(w * (den // dd), num, sign * (den // ds), v, f, sign), den // f
+        return self._conv(w * (den // dd), num, sign * (den // ds), v), den
 
     def _apply(self, rows: Tuple[SignalPair, SignalPair], y: List[Channel]) -> List[Channel]:
         """The 2x2 matrix of rows applied to the channel pair y: each output is
@@ -270,18 +253,28 @@ class _Window:
 
 
 class _Checked(_Window):
-    """A rounding window as wide as its inputs, a channel (w, m) with m
-    bounding w's digits.  A step adds floor((sign * S * src + h) / den) to
-    the integer dst, so the floor reads only the update, at most ceil(L1 *
-    m_src / den) for L1 = sum |num|.  Where m would break the floor's L1 *
-    m_src + den <= 2^(B-2) or the window's m <= 2^(B-2), _fits tests w."""
+    """The rounding window, as wide as its inputs: a channel (w, m) with m
+    bounding w's integer digits.  A step adds floor((sign * S * src + h) /
+    den) to dst for den = 2^s: h = den // 2 rounds, and h = (den - 1) // 2
+    for sign = -1 undoes that rounding, as -floor((v + h) / 2^s) = floor((-v
+    + 2^s - 1 - h) / 2^s).  The floor reads only the update, at most ceil(L1
+    * m_src / den) for L1 = sum |num|: the bias 2^(B-2) makes its digits
+    non-negative for one shift, the mask drops the bits shifted in from
+    above, and the bias comes off again.  Where m would break the floor's
+    L1 * m_src + den <= 2^(B-2) or the window's m <= 2^(B-2), _fits tests
+    w, and a failed test has _run redo the window at twice the digit width."""
 
     def _lift(self, dst: Channel, filt: LaurentPoly, src: Channel, sign: int) -> Channel:
-        (w, md), (v, ms), room = dst, src, 1 << self.bits - 2
-        num, den = filt._num, filt._den
+        (w, md), (v, ms), b, ones = dst, src, self.bits, self.ones
+        num, den, room = filt._num, filt._den, 1 << b - 2
         l1 = sum(map(abs, num.values()))
         ms = ms if l1 * ms + den <= room else self._fits(v, (room - den) // l1)
-        w += self._conv(0, num, sign, v, den, sign)
+        u = self._conv(0, num, sign, v)
+        if den > 1:
+            s = den.bit_length() - 1
+            u += ones * (room + ((den - (sign < 0)) >> 1))
+            u = (u >> s & (ones << b - s) - ones) - (ones << b - 2 - s)
+        w += u
         md += -(-l1 * ms // den)
         return w, md if md <= room else self._fits(w, room)
 
@@ -297,20 +290,14 @@ class _Checked(_Window):
 
 
 class _Bound(_Window):
-    """The same stages on magnitudes: a channel (m, den) has no numerator
-    above m in absolute value, and top collects what the floor reads."""
+    """The exact stages on magnitudes: a channel (m, den) has no numerator
+    above m in absolute value."""
 
-    def __init__(self, rounding: bool):
-        self.rounding = rounding
-        self.top = 0
+    def __init__(self):
+        pass
 
-    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int, den: int = 1,
-              sign: int = 1) -> int:
-        acc += abs(f) * sum(map(abs, num.values())) * src
-        if den > 1:
-            self.top = max(self.top, acc + den)
-            acc = (acc >> den.bit_length() - 1) + 1
-        return acc
+    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int) -> int:
+        return acc + abs(f) * sum(map(abs, num.values())) * src
 
 
 def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, rounding: bool,
@@ -320,7 +307,9 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     terms, over the lcm of its windows' lowest denominators (the window that
     reaches the lcm's power of a prime has a numerator it does not divide).
     Synthesis undoes the stages in reverse order.  _read checks y when
-    rounding, a _Bound sizes exact and overflowing windows, and a singular base raises first."""
+    rounding, one _Bound pass sizes every exact window, a rounding window
+    that fails a range test is redone at twice its digit width, and a
+    singular base raises first."""
     k, steps, plan = c.scale, c.steps[::sign], []
     if c.base != IDENTITY:      # reversible: base I
         a, b, g, d = c.base.entries()   # the adjugate here, not inverse(): no filter round trip
@@ -343,23 +332,25 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
     reads = [_read(x, rounding) for x in y]
     tops = [t for _, _, t, _ in reads for _ in range(3 - q)]     # one per input channel
-    bounded: List[int] = []     # a _Bound pass's output bounds, once a window needs them
+    if not rounding:
+        bounds = [m for m, _ in stages(_Bound(), list(zip(tops, dens)))]
+        top = max(*tops, *bounds)
     parts: List[list] = [[] for _ in range(0, 2, q)]    # (first index, values, den) per window
     pack = lambda win, start: [w for r in reads for w in win._pack(r, start, 3 - q)]
     for lo, hi in _windows([keys for _, keys, _, _ in reads], reach):
-        n, start, out = hi - lo + 2 * reach, lo - reach, None
-        if rounding:
-            with suppress(OverflowError):
-                win = _Checked(n, max(tops), True)
-                out = stages(win, list(zip(pack(win, start), tops)))
-                out, bounds = [(w, 1) for w, _ in out], [m for _, m in out]
-        if out is None:
-            if not bounded:
-                bound = _Bound(rounding)
-                bounded = [m for m, _ in stages(bound, list(zip(tops, dens)))]
-                top = max(bound.top, *tops, *bounded)
-            win = _Window(n, top, rounding)
-            out, bounds = stages(win, list(zip(pack(win, start), dens))), bounded
+        n, start = hi - lo + 2 * reach, lo - reach
+        if not rounding:
+            win = _Window(n, top)
+            out = stages(win, list(zip(pack(win, start), dens)))
+        else:
+            win = _Checked(n, max(tops))
+            while True:
+                try:
+                    out = stages(win, list(zip(pack(win, start), tops)))
+                    break
+                except OverflowError:
+                    win = _Checked(n, 1 << 2 * win.bits - 3)
+            out, bounds = [(w, 1) for w, _ in out], [m for _, m in out]
         for i, (vals, d) in enumerate(win._unpack(out, bounds)):
             parts[i // q].append((q * start + i % q, vals, d))
     res = []

@@ -482,12 +482,14 @@ class TestCommands:
             assert "parse error" in capsys.readouterr().err
 
     def test_library_error_exit_code(self, tmp_path, capsys):
-        # A zero base bank has no support: EmptySupport, not a failed check.
+        # A zero base bank has no support: EmptySupport, not a failed check,
+        # naming the partial product that is zero.
         cpath = self.write(tmp_path, "zero.cas", "step U\ntap 0 1\nbase:\nh0:\nh1:\n")
         assert main(["verify", cpath, "--order-increasing"]) == 3
         err = capsys.readouterr().err
         assert "precondition violation" in err and "Traceback" not in err
         assert len(err.splitlines()) == 1
+        assert err == "precondition violation: E^(-1) (the base) is the zero matrix\n"
 
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/x.bank"]) == 2

@@ -443,14 +443,14 @@ def direct_window(digits, j):
 
 def window_of(n, j):
     """A window of n samples whose digits have j limbs."""
-    win = transform._Window(n, 1 << 64 * j - 3, False)
+    win = transform._Window(n, 1 << 64 * j - 3)
     assert win.j == j
     return win
 
 
 def window_32(n):
     """A window of n samples whose digits have 32 bits."""
-    win = transform._Window(n, 1 << 28, False)
+    win = transform._Window(n, 1 << 28)
     assert (win.bits, win.j) == (32, 1)
     return win
 
@@ -497,12 +497,12 @@ class TestWindowPrimitives:
         for cap in (0, 1, 64 * j - 2):
             assert window_of(5, j)._twos(0, cap) == cap
 
-    @pytest.mark.parametrize("rounding", [False, True])
-    def test_digits_take_32_bits_while_the_bound_fits(self, rounding):
+    @pytest.mark.parametrize("kind", [transform._Window, transform._Checked])
+    def test_digits_take_32_bits_while_the_bound_fits(self, kind):
         for n in (1, 7):
             for top, bits in ((0, 32), (2 ** 30 - 1, 32), (2 ** 30, 64), (2 ** 62 - 1, 64),
                               (2 ** 62, 128)):
-                win = transform._Window(n, top, rounding)
+                win = kind(n, top)
                 assert (win.bits, win.j) == (bits, max(1, bits // 64))
 
     @settings(max_examples=300)
@@ -575,9 +575,9 @@ class TestDigitWidthLimit:
         """A factor that puts the bound of run's windows on x near a drawn target."""
         tops, init = [], transform._Window.__init__
 
-        def spy(win, n, top, rounding):
+        def spy(win, n, top):
             tops.append(top)
-            init(win, n, top, rounding)
+            init(win, n, top)
         with mock.patch.object(transform._Window, "__init__", spy):
             run(x)
         target = data.draw(st.integers(2 ** 27, 2 ** 33))
@@ -618,8 +618,8 @@ def window_kinds(monkeypatch):
     """The (class name, digit bits) of every window built from here on."""
     made, init = [], transform._Window.__init__
 
-    def spy(win, n, top, rounding):
-        init(win, n, top, rounding)
+    def spy(win, n, top):
+        init(win, n, top)
         made.append((type(win).__name__, win.bits))
     monkeypatch.setattr(transform._Window, "__init__", spy)
     return made
@@ -627,8 +627,8 @@ def window_kinds(monkeypatch):
 
 class TestCheckedWindows:
     """Rounding windows as wide as their inputs: the packed range test against
-    a digit-by-digit reference, a ladder whose digits outgrow 32 bits on the
-    way, which a _Bound-sized window then redoes, and a pool like perfbench's
+    a digit-by-digit reference, ladders whose digits outgrow 32 bits on the
+    way, which wider _Checked windows then redo, and a pool like perfbench's
     transform-reversible-1k, where none does."""
 
     @settings(max_examples=300)
@@ -641,7 +641,7 @@ class TestCheckedWindows:
                  | st.integers(-(1 << k), (1 << k) - 1)
                  | st.integers(-(1 << bits - 1) + 1, (1 << bits - 1) - 1))
         digits = data.draw(st.lists(digit, min_size=1, max_size=8))
-        win = transform._Checked(len(digits), 1 << bits - 3 if bits > 32 else 0, True)
+        win = transform._Checked(len(digits), 1 << bits - 3 if bits > 32 else 0)
         assert win.bits == bits
         w = direct_window_32(digits) if bits == 32 else direct_window(digits, bits // 64)
         cap = data.draw(st.integers(1 << k, (2 << k) - 1))     # 2^k is the largest power <= cap
@@ -660,7 +660,9 @@ class TestCheckedWindows:
         # of which two or three steps on m in a row add 5 .. 7 times.  The
         # first step takes m's digits past 2^30, where the 32-bit window
         # overflows, and the next past 2^31; random steps follow.  Synthesis
-        # meets the same steps first, on channels of opposite signs.
+        # meets the same steps first, on channels of opposite signs.  The
+        # 32-bit _Checked window of each call fails its range test, and a
+        # _Checked window of twice the digit width redoes it, and so on.
         m, sign = data.draw(st.integers(0, 1)), data.draw(st.sampled_from([1, -1]))
         run = [LiftingStep(m, LaurentPoly({t: g})) for t, g in data.draw(st.lists(
             st.tuples(st.integers(-2, 2), st.integers(5, 7)), min_size=2, max_size=3))]
@@ -681,11 +683,43 @@ class TestCheckedWindows:
             analysis, made[:] = made[:], []
             back = LiftingCascade(1, (*rest, *run))
             assert reversible_synthesis(back, z) == ref_synthesis(back, z)
-        for kinds in (analysis, made):     # 32-bit windows, one of them redone wider
-            assert {bits for kind, bits in kinds if kind == "_Checked"} == {32}
-            assert any(kind == "_Window" and bits > 32 for kind, bits in kinds)
+        for kinds in (analysis, made):     # each window at 32 bits, then doubled
+            assert kinds[0] == ("_Checked", 32) and {kind for kind, _ in kinds} == {"_Checked"}
+            assert all(b in (32, 2 * a) for (_, a), (_, b) in zip(kinds, kinds[1:]))
+            assert any(bits > 32 for _, bits in kinds)
         assert y == ref_analysis(c, x)
         assert reversible_synthesis(c, y) == x
+
+    @pytest.mark.parametrize("case", ["den 2^100", "gain 2^40", "samples 2^200"])
+    def test_windows_redone_more_than_once(self, case, monkeypatch):
+        # A step over 2^100 breaks the floor's range at 32 and at 64 bits;
+        # six steps that each multiply by about 2^40 outgrow 32, 64 and 128
+        # bits; and samples near 2^200, through six steps of about 2^60,
+        # start at 256 bits and outgrow 256 and 512.  The samples are one
+        # window, redone at twice the digit width each time.
+        rng = random.Random(5)
+
+        def step(m, size, den):
+            return LiftingStep(m, LaurentPoly({t: F(rng.choice((1, -1)) * rng.randint(size // 2, size), den)
+                                               for t in (-1, 0, 1)}))
+        if case == "den 2^100":
+            c, size = LiftingCascade(1, (step(1, 2 ** 95, 2 ** 100),)), 255
+        else:
+            gain, size = (2 ** 40, 255) if case == "gain 2^40" else (2 ** 60, 2 ** 200)
+            c = LiftingCascade(1, tuple(step(i % 2, gain, 2 ** (i % 3)) for i in range(6)))
+        x = {k: rng.randint(-size, size) for k in range(-20, 44)}
+        made = window_kinds(monkeypatch)
+        y = reversible_analysis(c, x)
+        analysis, made[:] = made[:], []
+        z = (dict(y[1]), {k - 1: v for k, v in y[0].items()})
+        w = reversible_synthesis(c, z)
+        assert len(analysis) > 2 and analysis == [("_Checked", analysis[0][1] << i)
+                                                  for i in range(len(analysis))]
+        if case == "den 2^100":
+            assert analysis == made == [("_Checked", 32), ("_Checked", 64), ("_Checked", 128)]
+        assert y == ref_analysis(c, x)
+        assert reversible_synthesis(c, y) == {k: v for k, v in x.items() if v}
+        assert w == ref_synthesis(c, z)
 
     def test_reversible_1k_pool_stays_at_32_bits(self, monkeypatch):
         # perfbench's seed-1 transform-reversible-1k pool, drawn the same
