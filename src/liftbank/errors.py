@@ -58,6 +58,11 @@ class InvalidArgument(LiftbankError):
     wrong type, or a signal that is not a LaurentPoly."""
 
 
+class WorkBudget(LiftbankError):
+    """The work an input asks for grows with a number in it, not with its
+    length, past a documented limit: refused before anything is allocated."""
+
+
 class ParseError(LiftbankError):
     """Malformed bank or cascade file."""
 

@@ -5,8 +5,9 @@ signed digits are its samples (Kronecker substitution), so that a step is
 a few big-integer shifts, sums and small multiples, each done in C.  Exact
 channels are integer numerators over one positive denominator; reversible
 mode floors the same numerators back to denominator 1 at every step,
-round(v) = floor(v + 1/2), which inverts bit-exactly.  Dicts and
-LaurentPolys appear only at the API boundary.
+round(v) = floor(v + 1/2), which inverts bit-exactly.  A window starts
+at its inputs' digit width and widens in place.  Dicts and LaurentPolys
+appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from operator import and_, index, lshift, or_, rshift, sub
 from struct import pack
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular
+from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular, WorkBudget
 from .laurent import LaurentPoly, _lowest, _trials
 from .lifting import LiftingCascade, _ladder, lower
 from .polyphase import IDENTITY
 
 SignalPair = Tuple[LaurentPoly, LaurentPoly]
-Channel = Tuple[int, int]
+Channel = Tuple[int, int, int]     # (window, denominator, bound on its digits)
 _Read = Tuple[Mapping[int, int], List[int], int, Optional[bytes]]     # what _read returns
 _MASK = (1 << 64) - 1
+MAX_WINDOW_BITS = 1 << 30       # n samples x B digit bits of one transform window
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +119,21 @@ def _width(top: int) -> int:
 
 class _Window:
     """n samples as the signed digits of one int, sample p at bits [B * p,
-    B * (p + 1)): the samples' polynomial at 2^B.  A channel is (w, den),
-    such a window w of numerators over den > 0.  Sums, digit shifts and
-    integer multiples of windows are exact whatever the digits; only the
-    2-adic search and the _Checked floor read digits, which must then lie
-    in (-2^(B-2), 2^(B-2)) for top, a _Bound of the exact ladder's inputs
-    and outputs or the _Checked window's inputs: B is 32 when that keeps
-    top inside, else 64 * j for the fewest 64-bit limbs j that do.  Digits
-    shifted out below are zero, because the window pads its run by the reach."""
+    B * (p + 1)): the samples' polynomial at 2^B.  A channel (w, den, m) is
+    such a window w of numerators over den > 0, none above m in absolute
+    value.  Sums, shifts and multiples of windows are exact whatever the
+    digits; reading them needs m <= 2^(B-2), which every stage keeps by
+    testing its inputs with _fits first where its growth would pass it.  B
+    is 32 when top fits, else 64 * j for the fewest 64-bit limbs j that do.
+    Digits shifted out below are zero: the window pads its run by the reach."""
 
     def __init__(self, n: int, top: int):
-        self.j = j = (top.bit_length() + 65) // 64
-        self.bits = b = 32 if top.bit_length() + 2 <= 32 else 64 * j
-        self.n = n
+        j = (top.bit_length() + 65) // 64
+        b = 32 if top.bit_length() + 2 <= 32 else 64 * j
+        if n * b > MAX_WINDOW_BITS:
+            raise WorkBudget(f"transform window of {n} samples x {b} bits exceeds "
+                             f"2^{MAX_WINDOW_BITS.bit_length() - 1} bits")
+        self.j, self.bits, self.n = j, b, n
         self.ones = int.from_bytes((b"\1" + bytes(b // 8 - 1)) * n, "little")
 
     def _pack(self, r: _Read, start: int, phases: int) -> List[int]:
@@ -165,6 +169,39 @@ class _Window:
             out.append(u - high)
         return out
 
+    def _widen(self, y: List[Channel]) -> List[Channel]:
+        """y at twice the digit width, to which the window widens by __init__'s
+        rule: the digits biased by 2^(B-1) are B-bit fields, copied strided
+        into the low halves of 2B-bit ones; the bias comes off at 2B."""
+        b, n, high = self.bits, self.n, self.ones << self.bits - 1
+        self.__init__(n, 1 << 2 * b - 3)
+        (code, k), out = ("I", 1) if b == 32 else ("Q", b // 64), []
+        for i in range(len(y)):     # w, den and m of channel i
+            old = memoryview((y[i][0] + high).to_bytes(b // 8 * n, "little")).cast(code)
+            new = memoryview(bytearray(b // 4 * n)).cast(code)
+            for limb in range(k):
+                new[limb::2 * k] = old[limb::k]
+            out.append((int.from_bytes(new, "little") - (self.ones << b - 1), *y[i][1:]))
+        return out
+
+    def _fits(self, w: int, cap: int) -> int:
+        """2^k for the largest k with 2^k <= cap if each digit of w, all in
+        (-2^(B-1), 2^(B-1)), lies in [-2^k, 2^k), else OverflowError: adding
+        2^k moves those into [0, 2^(k+1)) with no borrow, leaving bits k + 1
+        .. B - 1 of each field clear; any other digit sets one of them."""
+        k, ones = cap.bit_length() - 1, self.ones
+        if cap < 1 or (w + (ones << k)) & ones * ((1 << self.bits) - (2 << k)):
+            raise OverflowError
+        return 1 << k
+
+    def _room(self, terms: Sequence[Tuple[int, int, int]]) -> int:
+        """sum f * m over a stage's terms (w, f, m), where past 2^(B-2) each
+        window w is first tested by _fits against its share m * 2^(B-2) / sum."""
+        room, total = 1 << self.bits - 2, sum(f * m for _, f, m in terms)
+        if total <= room:
+            return total
+        return sum(f * self._fits(w, m * room // total) for w, f, m in terms if m)
+
     def _twos(self, w: int, cap: int) -> int:
         """The largest s <= cap <= B - 2 such that 2^s divides every digit
         of w.  The bias 2^(B-2) makes each digit a non-negative field of
@@ -184,31 +221,31 @@ class _Window:
                 lo = mid
         return lo
 
-    def _unpack(self, out: List[Channel], bounds: List[int]) -> List[Tuple[List[int], int]]:
-        """The digits of each channel (w, den) in out in lowest terms, emptying
-        out so that one packed window at a time is read, bounds[i] bounding
-        channel i.  The largest 2^s <= 2^(B-2) that divides den and every digit
-        is divided out first, and only the limbs the reduced bound needs are
+    def _unpack(self, out: List[Channel]) -> List[Tuple[List[int], int]]:
+        """The digits of each channel (w, den, m) in out in lowest terms,
+        emptying out so that one packed window at a time is read.  The
+        largest 2^s <= 2^(B-2) that divides den and every digit is divided
+        out first, and only the limbs the reduced bound m / 2^s needs are
         read, the top one signed (a 32-bit digit is one); one gcd with the
         odd part of den / 2^s, or all of it when s is B - 2, then divides
         out the rest."""
         j, n, cap, high = self.j, self.n, self.bits - 2, self.ones << self.bits - 1
         res = []
         for i in range(len(out)):
-            w, d = out.pop(0)
+            w, d, m = out.pop(0)
             t = (d & -d).bit_length() - 1
             s = self._twos(w, min(t, cap))
             if s:
                 w >>= s
                 d >>= s
-            k = _width(bounds[i] >> s)
+            k = _width(m >> s)
             w += high
             w ^= high
             raw = w.to_bytes(self.bits // 8 * n, "little")
             del w
             vals = _limbs(raw, "i" if self.bits == 32 else "q")[k - 1::j]
-            for m in range(k - 2, -1, -1):
-                vals = map(or_, map(lshift, vals, repeat(64)), _limbs(raw, "Q")[m::j])
+            for limb in range(k - 2, -1, -1):
+                vals = map(or_, map(lshift, vals, repeat(64)), _limbs(raw, "Q")[limb::j])
             res.append(_lowest(list(vals), d, d >> t - s if s < cap else d))
         return res
 
@@ -233,71 +270,51 @@ class _Window:
         num = filt._num
         if not num:
             return dst
-        (w, dd), (v, ds) = dst, src
+        (w, dd, md), (v, ds, ms) = dst, src
         ds *= filt._den
         den = lcm(dd, ds)
-        return self._conv(w * (den // dd), num, sign * (den // ds), v), den
+        a, b = den // dd, den // ds
+        m = self._room(((w, a, md), (v, b * sum(map(abs, num.values())), ms)))
+        return self._conv(w * a, num, sign * b, v), den, m
 
     def _apply(self, rows: Tuple[SignalPair, SignalPair], y: List[Channel]) -> List[Channel]:
         """The 2x2 matrix of rows applied to the channel pair y: each output is
         a sum of up to two window convolutions over their denominators' lcm."""
         out = []
         for row in rows:
-            parts = [(f, w, d * f._den) for f, (w, d) in zip(row, y) if f]
-            den = lcm(*(d for _, _, d in parts))
+            parts = [(f, w, d * f._den, m) for f, (w, d, m) in zip(row, y) if f]
+            den = lcm(*(d for _, _, d, _ in parts))
+            m = self._room([(w, den // d * sum(map(abs, f._num.values())), m)
+                            for f, w, d, m in parts])
             acc = 0
-            for f, w, d in parts:
+            for f, w, d, _ in parts:
                 acc = self._conv(acc, f._num, den // d, w)
-            out.append((acc, den))
+            out.append((acc, den, m))
         return out
 
 
 class _Checked(_Window):
-    """The rounding window, as wide as its inputs: a channel (w, m) with m
-    bounding w's integer digits.  A step adds floor((sign * S * src + h) /
-    den) to dst for den = 2^s: h = den // 2 rounds, and h = (den - 1) // 2
-    for sign = -1 undoes that rounding, as -floor((v + h) / 2^s) = floor((-v
-    + 2^s - 1 - h) / 2^s).  The floor reads only the update, at most ceil(L1
-    * m_src / den) for L1 = sum |num|: the bias 2^(B-2) makes its digits
-    non-negative for one shift, the mask drops the bits shifted in from
-    above, and the bias comes off again.  Where m would break the floor's
-    L1 * m_src + den <= 2^(B-2) or the window's m <= 2^(B-2), _fits tests
-    w, and a failed test has _run redo the window at twice the digit width."""
+    """The rounding window.  A step adds floor((sign * S * src + h) / den)
+    to dst for den = 2^s: h = den // 2 rounds, and h = (den - 1) // 2 for
+    sign = -1 undoes that, as -floor((v + h) / 2^s) = floor((-v + 2^s - 1 -
+    h) / 2^s).  The floor reads only the update, at most ceil(L1 * m_src /
+    den) for L1 = sum |num|: a bias 2^(B-2) makes its digits non-negative
+    for one shift and a mask, then comes off.  _fits tests src where L1 *
+    m_src + den would pass 2^(B-2), and dst where the output's m would."""
 
     def _lift(self, dst: Channel, filt: LaurentPoly, src: Channel, sign: int) -> Channel:
-        (w, md), (v, ms), b, ones = dst, src, self.bits, self.ones
+        (w, _, md), (v, _, ms), b, ones = dst, src, self.bits, self.ones
         num, den, room = filt._num, filt._den, 1 << b - 2
         l1 = sum(map(abs, num.values()))
         ms = ms if l1 * ms + den <= room else self._fits(v, (room - den) // l1)
+        up = -(-l1 * ms // den)
+        md = md if md + up <= room else self._fits(w, room - up)
         u = self._conv(0, num, sign, v)
         if den > 1:
             s = den.bit_length() - 1
             u += ones * (room + ((den - (sign < 0)) >> 1))
             u = (u >> s & (ones << b - s) - ones) - (ones << b - 2 - s)
-        w += u
-        md += -(-l1 * ms // den)
-        return w, md if md <= room else self._fits(w, room)
-
-    def _fits(self, w: int, cap: int) -> int:
-        """2^k for the largest k with 2^k <= cap if each digit of w, all in
-        (-2^(B-1), 2^(B-1)), lies in [-2^k, 2^k), else OverflowError: adding
-        2^k moves those into [0, 2^(k+1)) with no borrow, leaving bits k + 1
-        .. B - 1 of each field clear; any other digit sets one of them."""
-        k, ones = cap.bit_length() - 1, self.ones
-        if cap < 1 or (w + (ones << k)) & ones * ((1 << self.bits) - (2 << k)):
-            raise OverflowError
-        return 1 << k
-
-
-class _Bound(_Window):
-    """The exact stages on magnitudes: a channel (m, den) has no numerator
-    above m in absolute value."""
-
-    def __init__(self):
-        pass
-
-    def _conv(self, acc: int, num: Dict[int, int], f: int, src: int) -> int:
-        return acc + abs(f) * sum(map(abs, num.values())) * src
+        return w + u, 1, md + up
 
 
 def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, rounding: bool,
@@ -307,52 +324,41 @@ def _run(c: LiftingCascade, y: Tuple[Mapping[int, int], ...], sign: int, roundin
     terms, over the lcm of its windows' lowest denominators (the window that
     reaches the lcm's power of a prime has a numerator it does not divide).
     Synthesis undoes the stages in reverse order.  _read checks y when
-    rounding, one _Bound pass sizes every exact window, a rounding window
-    that fails a range test is redone at twice its digit width, and a
-    singular base raises first."""
-    k, steps, plan = c.scale, c.steps[::sign], []
+    rounding, and a singular base raises first.  A window starts at its
+    inputs' width; a stage that fails a range test leaves its inputs as
+    they were, to be widened for that stage alone."""
+    k, plan = c.scale, []
     if c.base != IDENTITY:      # reversible: base I
         a, b, g, d = c.base.entries()   # the adjugate here, not inverse(): no filter round trip
         if sign < 0 and not c.base.is_unimodular:
             raise NotUnimodular("inverse requires det H(z) = 1")
         rows = ((a, b), (g, d)) if sign > 0 else ((d, -b), (-g, a))
         plan.append(lambda win, v: win._apply(rows, v))
-    plan.append(lambda win, v: _ladder(steps, v, win._lift, sign))
+    plan += [lambda win, v, s=s: _ladder((s,), v, win._lift, sign) for s in c.steps]
     if k != 1:      # D_K as in lifting._gain: channel 0 times 1 / K, 1 times K
-        a, b = k.numerator, k.denominator
-        gain = [(b if a > 0 else -b, abs(a)), (a, b)][::sign]     # (numerator, denominator > 0)
-        # a one-tap _conv, so that a _Bound takes the numerator's magnitude
-        plan.append(lambda win, v: [(win._conv(0, {0: f}, 1, w), d * e) for (w, d), (f, e) in zip(v, gain)])
-
-    def stages(win: _Window, v: List[Channel]) -> List[Channel]:
-        for stage in plan[::sign]:
-            v = stage(win, v)
-        return v
+        g0, g1 = [LaurentPoly._make({0: f.numerator}, f.denominator) for f in (1 / k, k)][::sign]
+        plan.append(lambda win, v: win._apply(((g0, None), (None, g1)), v))
+    plan = plan[::sign]
 
     q, reach = len(y), _reach(c)     # q channels per output mapping, 3 - q per input one
     reads = [_read(x, rounding) for x in y]
     tops = [t for _, _, t, _ in reads for _ in range(3 - q)]     # one per input channel
-    if not rounding:
-        bounds = [m for m, _ in stages(_Bound(), list(zip(tops, dens)))]
-        top = max(*tops, *bounds)
     parts: List[list] = [[] for _ in range(0, 2, q)]    # (first index, values, den) per window
-    pack = lambda win, start: [w for r in reads for w in win._pack(r, start, 3 - q)]
-    for lo, hi in _windows([keys for _, keys, _, _ in reads], reach):
-        n, start = hi - lo + 2 * reach, lo - reach
-        if not rounding:
-            win = _Window(n, top)
-            out = stages(win, list(zip(pack(win, start), dens)))
-        else:
-            win = _Checked(n, max(tops))
-            while True:
+    try:
+        for lo, hi in _windows([keys for _, keys, _, _ in reads], reach):
+            n, start, i = hi - lo + 2 * reach, lo - reach, 0
+            win = (_Checked if rounding else _Window)(n, max(tops))
+            v = list(zip([w for r in reads for w in win._pack(r, start, 3 - q)], dens, tops))
+            while i < len(plan):
                 try:
-                    out = stages(win, list(zip(pack(win, start), tops)))
-                    break
+                    v = plan[i](win, v)
+                    i += 1
                 except OverflowError:
-                    win = _Checked(n, 1 << 2 * win.bits - 3)
-            out, bounds = [(w, 1) for w, _ in out], [m for _, m in out]
-        for i, (vals, d) in enumerate(win._unpack(out, bounds)):
-            parts[i // q].append((q * start + i % q, vals, d))
+                    v = win._widen(v)
+            for i, (vals, d) in enumerate(win._unpack(v)):
+                parts[i // q].append((q * start + i % q, vals, d))
+    except WorkBudget as e:
+        raise WorkBudget(f"{e} (reach {reach})") from None
     res = []
     for windows in parts:
         den, found = lcm(*(d for _, _, d in windows)), {}

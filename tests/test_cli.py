@@ -491,6 +491,21 @@ class TestCommands:
         assert len(err.splitlines()) == 1
         assert err == "precondition violation: E^(-1) (the base) is the zero matrix\n"
 
+    @pytest.mark.parametrize("command", [["roundtrip"], ["roundtrip", "--reversible"],
+                                         ["verify", "--pr", "--trials", "1"]])
+    def test_window_past_the_limit_exit_code(self, tmp_path, capsys, command):
+        # One step with taps at -r and r + 1, r = 10^9, spreads every signal
+        # over a window of about 2r samples: refused before it is built.
+        r = 10 ** 9
+        cpath = self.write(tmp_path, "wide.cas", f"step L\ntap {-r} 1/2\ntap {r + 1} 1/2\n")
+        t0 = time.perf_counter()
+        assert main([command[0], cpath, *command[1:]]) == 3
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(rf"precondition violation: transform window of \d+ samples x 32 bits "
+                            rf"exceeds 2\^30 bits \(reach {r + 1}\)\n", err)
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/x.bank"]) == 2
 

@@ -97,17 +97,17 @@ def test_regex_digits_are_ascii(path):
 
 
 def test_window_samples_cross_in_c():
-    # The reader _read and _Window._pack and _unpack move every sample of
-    # a mapping or a window: through list, sorted, map, struct,
+    # The reader _read and _Window._pack, _unpack and _widen move every
+    # sample of a mapping or a window: through list, sorted, map, struct,
     # int.from_bytes/to_bytes and memoryview, never through a Python loop
     # per sample.  A loop may only count limbs or channels.
     path = Path(liftbank.__file__).parent / "transform.py"
     module = tree(path).body
     window = next(node for node in module
                   if isinstance(node, ast.ClassDef) and node.name == "_Window")
-    methods = [node for node in window.body + module
-               if isinstance(node, ast.FunctionDef) and node.name in ("_pack", "_unpack", "_read")]
-    assert len(methods) == 3
+    methods = [node for node in window.body + module if isinstance(node, ast.FunctionDef)
+               and node.name in ("_pack", "_unpack", "_widen", "_read")]
+    assert len(methods) == 4
     for method in methods:
         nodes = list(ast.walk(method))
         comps = [node.lineno for node in nodes
@@ -120,20 +120,20 @@ def test_window_samples_cross_in_c():
 
 
 def test_checked_windows_test_digits_in_c():
-    # _Checked._fits tests every digit of a window with one add and one
+    # _Window._fits tests every digit of a window with one add and one
     # AND, and _Checked._lift keeps one bound per channel: neither walks
     # the samples or the taps in Python.
     path = Path(liftbank.__file__).parent / "transform.py"
-    checked = next(node for node in tree(path).body
-                   if isinstance(node, ast.ClassDef) and node.name == "_Checked")
-    methods = [node for node in checked.body
-               if isinstance(node, ast.FunctionDef) and node.name in ("_fits", "_lift")]
+    classes = {node.name: node for node in tree(path).body if isinstance(node, ast.ClassDef)}
+    methods = [(cls, node) for cls, name in (("_Window", "_fits"), ("_Checked", "_lift"))
+               for node in classes[cls].body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
     assert len(methods) == 2
-    for method in methods:
+    for cls, method in methods:
         found = [node.lineno for node in ast.walk(method)
                  if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
                                       ast.For, ast.While))]
-        assert not found, f"_Checked.{method.name}: loops or comprehensions at lines {found}"
+        assert not found, f"{cls}.{method.name}: loops or comprehensions at lines {found}"
 
 
 def test_exact_outputs_are_reduced_by_the_window():

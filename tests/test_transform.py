@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 from unittest import mock
@@ -13,14 +14,14 @@ from hypothesis import strategies as st
 
 from liftbank import laurent, lifting, transform
 from liftbank.errors import (InvalidArgument, LiftbankError, NonIntegerInput, NotDyadic,
-                             NotUnimodular)
+                             NotUnimodular, WorkBudget)
 from liftbank.laurent import LaurentPoly
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
 from liftbank.polyphase import (IDENTITY, PolyphaseMatrix, PolyphaseVector, haar_bank,
                                 merge_signal, split_signal)
 from liftbank.randgen import (rand_dyadic_ws_cascade, rand_equal_length_hs_base,
                               rand_hs_cascade, rand_hs_filter, rand_int_signal, rand_signal,
-                              rand_ws_cascade)
+                              rand_wa_filter, rand_ws_cascade)
 from liftbank.transform import (apply_analysis, apply_synthesis,
                                 reversible_analysis, reversible_synthesis,
                                 verify_pr)
@@ -554,9 +555,26 @@ class TestWindowPrimitives:
                                     .map(lambda v: v << 20), min_size=1, max_size=12))
         den = data.draw(st.integers(1, 99)) << data.draw(st.integers(0, 40))
         bound = max(map(abs, digits))
-        (vals, d), = window_32(len(digits))._unpack([(direct_window_32(digits), den)], [bound])
+        (vals, d), = window_32(len(digits))._unpack([(direct_window_32(digits), den, bound)])
         assert d > 0 and math.gcd(d, *vals) == 1
         assert [F(v, d) for v in vals] == [F(v, den) for v in digits]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_widen_is_packing_at_twice_the_width(self, data):
+        # Digits anywhere in [-2^(B-1), 2^(B-1)), edges included, come out
+        # of _widen as the same digits at 2B bits, through __init__'s rule.
+        bits = data.draw(st.sampled_from([32, 64, 128]))
+        half = 1 << bits - 1
+        digit = st.sampled_from([-half, -half + 1, -1, 0, 1, half - 1]) | st.integers(-half, half - 1)
+        digits = data.draw(st.lists(digit, min_size=1, max_size=12))
+        win = transform._Window(len(digits), 1 << bits - 3 if bits > 32 else 0)
+        assert win.bits == bits
+        pair = [digits, [-v - 1 for v in digits]]      # -v - 1 keeps each edge in range
+        y = win._widen([(direct_window_32(v) if bits == 32 else direct_window(v, bits // 64), d, m)
+                        for v, d, m in zip(pair, (3, 1), (7, 5))])
+        assert (win.bits, win.j) == (2 * bits, 2 * bits // 64)
+        assert y == [(direct_window(v, 2 * bits // 64), d, m) for v, d, m in zip(pair, (3, 1), (7, 5))]
 
 
 small_signals = (st.dictionaries(st.integers(-40, 40), st.integers(-300, 300), max_size=40)
@@ -614,6 +632,24 @@ class TestDigitWidthLimit:
         assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
 
 
+def wide_case(case, scale=1):
+    """A cascade and signal whose windows outgrow their digits more than
+    once: one step over 2^100, six steps that each multiply by about 2^40,
+    or samples near 2^200 through six steps of about 2^60; scale is the
+    gain K."""
+    rng = random.Random(5)
+
+    def step(m, size, den):
+        return LiftingStep(m, LaurentPoly({t: F(rng.choice((1, -1)) * rng.randint(size // 2, size), den)
+                                           for t in (-1, 0, 1)}))
+    if case == "den 2^100":
+        c, size = LiftingCascade(scale, (step(1, 2 ** 95, 2 ** 100),)), 255
+    else:
+        gain, size = (2 ** 40, 255) if case == "gain 2^40" else (2 ** 60, 2 ** 200)
+        c = LiftingCascade(scale, tuple(step(i % 2, gain, 2 ** (i % 3)) for i in range(6)))
+    return c, {k: rng.randint(-size, size) for k in range(-20, 44)}
+
+
 def window_kinds(monkeypatch):
     """The (class name, digit bits) of every window built from here on."""
     made, init = [], transform._Window.__init__
@@ -628,7 +664,7 @@ def window_kinds(monkeypatch):
 class TestCheckedWindows:
     """Rounding windows as wide as their inputs: the packed range test against
     a digit-by-digit reference, ladders whose digits outgrow 32 bits on the
-    way, which wider _Checked windows then redo, and a pool like perfbench's
+    way, where the _Checked window widens, and a pool like perfbench's
     transform-reversible-1k, where none does."""
 
     @settings(max_examples=300)
@@ -661,8 +697,8 @@ class TestCheckedWindows:
         # first step takes m's digits past 2^30, where the 32-bit window
         # overflows, and the next past 2^31; random steps follow.  Synthesis
         # meets the same steps first, on channels of opposite signs.  The
-        # 32-bit _Checked window of each call fails its range test, and a
-        # _Checked window of twice the digit width redoes it, and so on.
+        # 32-bit _Checked window of each call fails its range test and
+        # widens to twice the digit width, and so on.
         m, sign = data.draw(st.integers(0, 1)), data.draw(st.sampled_from([1, -1]))
         run = [LiftingStep(m, LaurentPoly({t: g})) for t, g in data.draw(st.lists(
             st.tuples(st.integers(-2, 2), st.integers(5, 7)), min_size=2, max_size=3))]
@@ -696,18 +732,8 @@ class TestCheckedWindows:
         # six steps that each multiply by about 2^40 outgrow 32, 64 and 128
         # bits; and samples near 2^200, through six steps of about 2^60,
         # start at 256 bits and outgrow 256 and 512.  The samples are one
-        # window, redone at twice the digit width each time.
-        rng = random.Random(5)
-
-        def step(m, size, den):
-            return LiftingStep(m, LaurentPoly({t: F(rng.choice((1, -1)) * rng.randint(size // 2, size), den)
-                                               for t in (-1, 0, 1)}))
-        if case == "den 2^100":
-            c, size = LiftingCascade(1, (step(1, 2 ** 95, 2 ** 100),)), 255
-        else:
-            gain, size = (2 ** 40, 255) if case == "gain 2^40" else (2 ** 60, 2 ** 200)
-            c = LiftingCascade(1, tuple(step(i % 2, gain, 2 ** (i % 3)) for i in range(6)))
-        x = {k: rng.randint(-size, size) for k in range(-20, 44)}
+        # window, widened to twice the digit width each time.
+        c, x = wide_case(case)
         made = window_kinds(monkeypatch)
         y = reversible_analysis(c, x)
         analysis, made[:] = made[:], []
@@ -737,12 +763,165 @@ class TestCheckedWindows:
         assert made == [("_Checked", 32)] * 240
 
 
+def window_widths(monkeypatch):
+    """The digit widths of every window built from here on, one list per
+    window: its first width, then one entry each time it widens."""
+    made, init = [], transform._Window.__init__
+
+    def spy(win, n, top):
+        init(win, n, top)
+        if "widths" not in vars(win):
+            win.widths = []
+            made.append(win.widths)
+        win.widths.append(win.bits)
+    monkeypatch.setattr(transform._Window, "__init__", spy)
+    return made
+
+
+def lifts_per_window(monkeypatch):
+    """[returned, raised] _lift calls of every window built from here on.  A
+    call that raises must do so at its range test, before any _conv."""
+    counts, init, conv, convs = [], transform._Window.__init__, transform._Window._conv, [0]
+
+    def spy_init(win, n, top):
+        init(win, n, top)
+        if "lifts" not in vars(win):
+            win.lifts = [0, 0]
+            counts.append(win.lifts)
+
+    def spy_conv(win, *args):
+        convs[0] += 1
+        return conv(win, *args)
+
+    def spy_lift(win, *args, lift):
+        before = convs[0]
+        try:
+            out = lift(win, *args)
+        except OverflowError:
+            assert convs[0] == before
+            win.lifts[1] += 1
+            raise
+        win.lifts[0] += 1
+        return out
+    monkeypatch.setattr(transform._Window, "__init__", spy_init)
+    monkeypatch.setattr(transform._Window, "_conv", spy_conv)
+    for cls in (transform._Window, transform._Checked):
+        lift = vars(cls)["_lift"]
+        monkeypatch.setattr(cls, "_lift", lambda win, *args, lift=lift: spy_lift(win, *args, lift=lift))
+    return counts
+
+
+def inputs_width(*channels):
+    """The digit width of a window over channels' numerators, from __init__'s rule."""
+    top = max(abs(v) for ch in channels for v in ch.values())
+    return 32 if top < 2 ** 30 else 64 * ((top.bit_length() + 65) // 64)
+
+
+WIDE_CASES = ["den 2^100", "gain 2^40", "samples 2^200"]
+
+
+class TestWidening:
+    """Both ladders start each window at its inputs' width and widen it in
+    place: the exact twins of test_windows_redone_more_than_once, a spy that
+    shows no step runs twice in a window, the seed-1 transform-exact pool's
+    widths, and the window size past which a transform is refused."""
+
+    @pytest.mark.parametrize("case", WIDE_CASES)
+    def test_exact_windows_widen_more_than_once(self, case, monkeypatch):
+        c, x = wide_case(case, F(-3, 4) if case == "gain 2^40" else 1)
+        x = LaurentPoly(x)
+        y = apply_analysis(c, x)
+        z = (y[1], y[0].shift(-1))
+        firsts = inputs_width(x._num), inputs_width(z[0]._num, z[1]._num)
+        made = window_widths(monkeypatch)
+        assert apply_analysis(c, x) == y == ref_exact_analysis(c, x)
+        analysis, made[:] = made[:], []
+        assert apply_synthesis(c, z) == ref_exact_synthesis(c, z)
+        for first, windows in zip(firsts, (analysis, made)):     # one window each
+            assert windows == [[first << i for i in range(len(windows[0]))]]
+        assert len(analysis[0]) > 2
+        assert apply_synthesis(c, y) == x
+
+    @pytest.mark.parametrize("case", [None, *WIDE_CASES])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_stage_runs_twice(self, case, exact, monkeypatch):
+        if case is None:    # far apart runs: several windows
+            c = rand_ws_cascade(random.Random(3), n_steps=5)
+            x = {**rand_int_signal(random.Random(4), 64), **{10 ** 6 + k: 7 - k for k in range(9)}}
+            c = c if exact else rand_dyadic_ws_cascade(random.Random(3), n_steps=5)
+        else:
+            c, x = wide_case(case, F(-3, 4) if exact and case == "gain 2^40" else 1)
+        forward, back = ((apply_analysis, apply_synthesis) if exact
+                         else (reversible_analysis, reversible_synthesis))
+        x = LaurentPoly(x) if exact else x
+        counts = lifts_per_window(monkeypatch)
+        y = forward(c, x)
+        analysis, counts[:] = counts[:], []
+        assert back(c, y) == (x if exact else {k: v for k, v in x.items() if v})
+        for windows in (analysis, counts):
+            assert windows and [done for done, _ in windows] == [len(c.steps)] * len(windows)
+        if case is None:
+            assert len(analysis) > 1
+        else:
+            assert analysis[0][1] > 0       # the window widened at a step, which then ran once
+
+    def test_transform_exact_pool_widths(self, monkeypatch):
+        # perfbench's seed-1 transform-exact pool, drawn the same way:
+        # alternately S_W cascades of 4 .. 8 steps with a gain K != 1 and S_H
+        # cascades of 2 .. 6 steps over an equal-length base whose lowpass DC
+        # response is nonzero, on 1,024 samples in +-255.  Every analysis
+        # window starts at 32 bits; the pins are each window's last width and
+        # how often it widened.
+        rng = random.Random(1)
+
+        def steps(n_steps, j, draw):
+            m, out = rng.randint(0, 1), []
+            for i in range(n_steps):
+                out.append(LiftingStep(m, draw(m, 1 + (j + i) % 3)))
+                m = 1 - m
+            return tuple(out)
+        made = window_widths(monkeypatch)
+        for j in range(40):
+            k = j // 2
+            if j % 2 == 0:
+                gain = 1
+                while gain == 1:
+                    gain = rand_ws_cascade(rng, n_steps=0).scale
+                c = LiftingCascade(gain, steps(4 + k % 5, k, lambda m, t: rand_hs_filter(rng, 1 - 2 * m, t)))
+            else:
+                base = rand_equal_length_hs_base(rng, width=k % 3)
+                while base.scalar_filter(0)(1) == 0:
+                    base = rand_equal_length_hs_base(rng, width=k % 3)
+                c = LiftingCascade(1, steps(2 + k % 5, k, lambda m, t: rand_wa_filter(rng, t)), base)
+            x = LaurentPoly(rand_int_signal(rng, 1024))
+            assert apply_synthesis(c, apply_analysis(c, x)) == x
+        assert len(made) == 80 and all(widths[0] == 32 for widths in made[::2])
+        assert Counter(widths[-1] for widths in made) == {32: 22, 64: 58}
+        assert Counter(len(widths) - 1 for widths in made) == {0: 43, 1: 37}
+
+    def test_window_past_the_limit_is_refused(self, monkeypatch):
+        # A window of n samples x B bits over MAX_WINDOW_BITS raises before
+        # it is built, and so does one that would widen past it; the message
+        # names the samples, the bits and the reach.
+        monkeypatch.setattr(transform, "MAX_WINDOW_BITS", 64 * 64)
+        with pytest.raises(WorkBudget, match=r"^transform window of 65 samples x 64 bits "
+                                             r"exceeds 2\^12 bits$"):
+            transform._Window(65, 2 ** 40)
+        assert transform._Window(64, 2 ** 40).bits == 64
+        c, x = wide_case("den 2^100")       # 64 + 2 samples: 32 -> 64 -> 128 bits
+        with pytest.raises(WorkBudget, match=r"^transform window of 34 samples x 128 bits "
+                                             r"exceeds 2\^12 bits \(reach 1\)$"):
+            reversible_analysis(c, x)
+        assert reversible_analysis(c, dict(list(x.items())[:8])) == ref_analysis(
+            c, dict(list(x.items())[:8]))
+
+
 class TestWindowReduction:
     """Exact round trips where the window divides out powers of 2 before
     it reads the output, pinned to cases that exercise each part."""
 
     def test_two_limb_synthesis_reads_one_limb(self, monkeypatch):
-        rng = random.Random(2)
+        rng = random.Random(8)
         c = rand_hs_cascade(rng, n_steps=3, base=rand_equal_length_hs_base(rng, width=2))
         x = LaurentPoly(rand_int_signal(rng, 64))
         y = apply_analysis(c, x)
