@@ -55,7 +55,7 @@ class InvalidArgument(LiftbankError):
     policy, update characteristic or generator index that does not exist,
     a tap index or shift that is not an integer, a coefficient that is not
     a finite number, a step filter, cascade step, base or scale of the
-    wrong type, or a signal that is not a LaurentPoly."""
+    wrong type, or a cascade or signal of the wrong type."""
 
 
 class WorkBudget(LiftbankError):

@@ -7,10 +7,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidArgument, NotAdmissible, NotIrreducible
-from .laurent import LaurentPoly, SymmetryTag, _span, _trials
+from .laurent import LaurentPoly, SymmetryTag, _span
 from .lifting import LiftingCascade, LiftingStep
 from .polyphase import IDENTITY, PolyphaseMatrix, _hull, _row_support
 
@@ -243,7 +244,13 @@ def d_invariance_check(g: GroupLiftingStructure, trials: int = 256,
     Returns None for a reversible structure (D = {1}, no action).  Raises
     InvalidArgument unless trials is an int >= 1: no sample is no evidence.
     """
-    trials = _trials(trials, "d_invariance_check")
+    try:
+        trials = index(trials)      # True counts as 1
+    except TypeError:
+        raise InvalidArgument(f"d_invariance_check's trials must be an integer, "
+                              f"got {type(trials).__name__}") from None
+    if trials < 1:
+        raise InvalidArgument(f"d_invariance_check needs at least one trial, got {trials}")
     if g.reversible:
         return None
     rng = random.Random(seed)

@@ -135,18 +135,6 @@ def _rational(v, tap: Optional[int] = None) -> Fraction:
     raise InvalidArgument(f"{what} is not a finite number")
 
 
-def _trials(v, who: str) -> int:
-    """v as a trial count, an int >= 1 (True counts as 1), or InvalidArgument
-    naming the caller who: no sample is no evidence."""
-    try:
-        v = index(v)
-    except TypeError:
-        raise InvalidArgument(f"{who}'s trials must be an integer, got {type(v).__name__}") from None
-    if v < 1:
-        raise InvalidArgument(f"{who} needs at least one trial, got {v}")
-    return v
-
-
 def is_dyadic(q: Rational) -> bool:
     """True iff q has a power-of-two denominator (integers included)."""
     den = _rational(q).denominator
@@ -271,10 +259,6 @@ class LaurentPoly:
     def is_dyadic(self) -> bool:
         # The shared denominator is the lcm of the coefficients' own.
         return self._den & (self._den - 1) == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self._den == 1
 
     # -- measures ----------------------------------------------------------
 

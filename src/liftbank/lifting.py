@@ -107,7 +107,11 @@ class LiftingCascade:
         if not isinstance(self.scale, numbers.Rational):
             raise InvalidArgument(f"scale must be a rational number, got {self.scale!r}")
         object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "steps", tuple(self.steps))
+        try:
+            object.__setattr__(self, "steps", tuple(self.steps))
+        except TypeError:
+            raise InvalidArgument(f"LiftingCascade steps must be an iterable of LiftingSteps, "
+                                  f"got {type(self.steps).__name__}") from None
         for s in self.steps:
             if not isinstance(s, LiftingStep):
                 raise InvalidArgument(f"cascade step must be a LiftingStep, got {type(s).__name__}")

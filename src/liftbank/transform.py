@@ -12,13 +12,11 @@ appear only at the API boundary.
 
 from __future__ import annotations
 
-import random
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import and_, index, lshift, or_, rshift, sub
@@ -26,7 +24,7 @@ from struct import pack
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidArgument, NonIntegerInput, NotDyadic, NotUnimodular, WorkBudget
-from .laurent import LaurentPoly, _lowest, _trials
+from .laurent import ONE, LaurentPoly, _lowest
 from .lifting import LiftingCascade, _ladder, lower
 from .polyphase import IDENTITY
 
@@ -378,6 +376,11 @@ def _kind(x) -> str:
     return type(x).__name__
 
 
+def _check_cascade(c, who: str):
+    if not isinstance(c, LiftingCascade):
+        raise InvalidArgument(f"{who} takes a LiftingCascade, got {_kind(c)}")
+
+
 def _is_pair(y, cls) -> bool:
     return isinstance(y, (tuple, list)) and len(y) == 2 and all(isinstance(v, cls) for v in y)
 
@@ -389,7 +392,8 @@ def _is_pair(y, cls) -> bool:
 def apply_analysis(c: LiftingCascade, x: LaurentPoly) -> SignalPair:
     """Polyphase split, then base, steps and gain, on packed windows: the
     result is exactly c.product() applied to the split signal.  Raises
-    InvalidArgument if x is not a LaurentPoly."""
+    InvalidArgument if c is not a LiftingCascade or x not a LaurentPoly."""
+    _check_cascade(c, "apply_analysis")
     if not isinstance(x, LaurentPoly):
         raise InvalidArgument(f"apply_analysis takes a LaurentPoly signal, got {_kind(x)}")
     y0, y1 = (LaurentPoly._make(*ch) for ch in _run(c, (x._num,), 1, False, (x._den,) * 2))
@@ -400,7 +404,8 @@ def apply_synthesis(c: LiftingCascade, y: SignalPair) -> LaurentPoly:
     """Exact inverse of apply_analysis: gain, steps undone in reverse, and
     the base's adjugate inverse, on packed windows.  Requires a unimodular
     base, and raises NotUnimodular before any window is built; y must be a
-    pair of LaurentPolys, else InvalidArgument."""
+    pair of LaurentPolys and c a LiftingCascade, else InvalidArgument."""
+    _check_cascade(c, "apply_synthesis")
     if not _is_pair(y, LaurentPoly):
         raise InvalidArgument(f"apply_synthesis takes a pair of LaurentPoly channels, "
                               f"got {_kind(y)}")
@@ -462,7 +467,8 @@ def _rounded_update(filt: LaurentPoly, src: IntSignal) -> IntSignal:
 
 def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPair:
     """Integer-to-integer lifting ladder with per-step rounding.  Raises
-    InvalidArgument if x is not a mapping of samples."""
+    InvalidArgument if c is not a LiftingCascade or x not a mapping of samples."""
+    _check_cascade(c, "reversible_analysis")
     if not isinstance(x, Mapping):
         raise InvalidArgument(f"reversible_analysis takes a mapping of integer samples, "
                               f"got {_kind(x)}")
@@ -473,7 +479,8 @@ def reversible_analysis(c: LiftingCascade, x: Mapping[int, int]) -> IntSignalPai
 
 def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
     """Bit-exact inverse of reversible_analysis.  Raises InvalidArgument if
-    y is not a pair of mappings."""
+    c is not a LiftingCascade or y not a pair of mappings."""
+    _check_cascade(c, "reversible_synthesis")
     if not _is_pair(y, Mapping):
         raise InvalidArgument(f"reversible_synthesis takes a pair of integer channel "
                               f"mappings, got {_kind(y)}")
@@ -488,27 +495,20 @@ def reversible_synthesis(c: LiftingCascade, y: IntSignalPair) -> IntSignal:
 
 @dataclass(frozen=True)
 class PRReport:
-    """ok iff every sampled round trip reproduced the input exactly, with
-    the a = 1, d = 0 convention: no gain, no delay."""
+    """ok iff the cascade reconstructs perfectly with the a = 1, d = 0
+    convention (no gain, no delay), that is iff det = 1.  det is the
+    cascade's determinant, which is its base's: every lifting step and
+    D_K has determinant 1."""
 
     ok: bool
-    trials: int = 0
+    det: LaurentPoly
 
 
-def verify_pr(c: LiftingCascade, trials: int = 32, seed: int = 0) -> PRReport:
-    """Sampled perfect-reconstruction check with the a = 1, d = 0 convention.
-
-    Raises InvalidArgument unless trials is an int >= 1: no sample is no evidence."""
-    trials = _trials(trials, "verify_pr")
-    rng = random.Random(seed)
-    try:
-        for _ in range(trials):
-            length = rng.randint(1, 32)
-            start = rng.randint(-16, 16)
-            x = LaurentPoly({start + i: Fraction(rng.randint(-9, 9))
-                             for i in range(length)})
-            if apply_synthesis(c, apply_analysis(c, x)) != x:
-                return PRReport(ok=False, trials=trials)
-    except NotUnimodular:
-        return PRReport(ok=False, trials=trials)
-    return PRReport(ok=True, trials=trials)
+def verify_pr(c: LiftingCascade) -> PRReport:
+    """Perfect reconstruction decided from det B: apply_synthesis inverts
+    apply_analysis exactly when det B = 1, and refuses otherwise.  One
+    determinant of the base; no window is built, no signal drawn.  Raises
+    InvalidArgument if c is not a LiftingCascade."""
+    _check_cascade(c, "verify_pr")
+    det = c.base.det()
+    return PRReport(ok=det == ONE, det=det)

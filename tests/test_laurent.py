@@ -185,7 +185,6 @@ class TestDyadic:
     def test_poly_flags(self):
         assert LaurentPoly({0: F(1, 4), 1: 2}).is_dyadic
         assert not LaurentPoly({0: F(1, 6)}).is_dyadic
-        assert LaurentPoly({0: 3}).is_integer
 
 
 class TestIndices:
@@ -306,7 +305,6 @@ def check_matches(p, c):
     assert bool(p) == bool(c) and p.is_zero() == (not c)
     assert p == LaurentPoly(c) and hash(p) == hash(LaurentPoly(c))
     assert p == LaurentPoly(list(c.items()))
-    assert p.is_integer == all(v.denominator == 1 for v in c.values())
     assert p.is_dyadic == all(is_dyadic(v) for v in c.values())
     assert p(1) == ref_eval(c, F(1)) and p(-1) == ref_eval(c, F(-1))
     if c:

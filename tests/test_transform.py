@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from liftbank import laurent, lifting, transform
 from liftbank.errors import (InvalidArgument, LiftbankError, NonIntegerInput, NotDyadic,
                              NotUnimodular, WorkBudget)
-from liftbank.laurent import LaurentPoly
+from liftbank.laurent import ONE, LaurentPoly
 from liftbank.lifting import LiftingCascade, LiftingStep, lower, upper
-from liftbank.polyphase import (IDENTITY, PolyphaseMatrix, PolyphaseVector, haar_bank,
-                                merge_signal, split_signal)
+from liftbank.polyphase import (IDENTITY, LAMBDA, J, PolyphaseMatrix, PolyphaseVector,
+                                haar_bank, merge_signal, split_signal)
 from liftbank.randgen import (rand_dyadic_ws_cascade, rand_equal_length_hs_base,
                               rand_hs_cascade, rand_hs_filter, rand_int_signal, rand_signal,
                               rand_wa_filter, rand_ws_cascade)
@@ -1059,6 +1059,19 @@ class Integral(Index):
         return hash(self.v)
 
 
+class TestCascadeArgument:
+    @pytest.mark.parametrize("call, who", [
+        (lambda c: apply_analysis(c, LaurentPoly({0: 1})), "apply_analysis"),
+        (lambda c: apply_synthesis(c, (LaurentPoly({0: 1}), LaurentPoly())), "apply_synthesis"),
+        (lambda c: reversible_analysis(c, {0: 1}), "reversible_analysis"),
+        (lambda c: reversible_synthesis(c, ({0: 1}, {})), "reversible_synthesis"),
+        (verify_pr, "verify_pr"),
+        (lambda c: LiftingCascade(steps=c), "LiftingCascade steps")])
+    def test_non_cascade_is_invalid_argument(self, call, who):
+        with pytest.raises(InvalidArgument, match=f"^{who} .*got int$"):
+            call(3)
+
+
 class TestReversibleInputs:
     c = LiftingCascade(F(1), (lower(LaurentPoly({-1: F(-1, 2), 0: F(-1, 2)})),))
 
@@ -1184,16 +1197,33 @@ class TestVerifyPR:
 
     def test_lazy(self):
         rep = verify_pr(LiftingCascade())
-        assert rep.ok and rep.trials == 32
+        assert rep.ok and rep.det == ONE
 
     def test_singular_base(self):
         c = LiftingCascade(F(1), (), PolyphaseMatrix.from_entries(1, 1, 1, 1))
         assert not verify_pr(c).ok
 
-    @pytest.mark.parametrize("trials", [0, -5, 2.5, "3", None])
-    def test_no_trials_is_no_verdict(self, trials):
-        with pytest.raises(InvalidArgument):
-            verify_pr(haar_cascade(), trials=trials)
+    BASES = {"I": lambda rng: IDENTITY, "HS": rand_equal_length_hs_base,
+             "diag(2, 1)": lambda rng: PolyphaseMatrix.diagonal(2, 1), "J": lambda rng: J,
+             "diag(1, z^-1)": lambda rng: LAMBDA,
+             "singular": lambda rng: PolyphaseMatrix.from_entries(1, 1, 1, 1)}
 
-    def test_true_is_one_trial(self):
-        assert verify_pr(haar_cascade(), trials=True).trials == 1
+    @settings(max_examples=120)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(BASES)), st.booleans())
+    def test_verdict_is_det(self, seed, base, ws):
+        """The verdict is det product() = 1, read without a window; where
+        it is yes the exact ladder inverts, and where it is no synthesis
+        refuses."""
+        rng = random.Random(seed)
+        c = rand_ws_cascade(rng) if ws else rand_hs_cascade(rng)
+        c = LiftingCascade(c.scale, c.steps, self.BASES[base](rng))
+        with mock.patch.object(transform, "_run", side_effect=AssertionError("window built")):
+            rep = verify_pr(c)
+        det = c.product().det()
+        assert rep.det == det and rep.ok == (det == ONE)
+        x = rand_signal(rng, length=rng.randint(1, 32))
+        if rep.ok:
+            assert apply_synthesis(c, apply_analysis(c, x)) == x
+        else:
+            with pytest.raises(NotUnimodular):
+                apply_synthesis(c, apply_analysis(c, x))
